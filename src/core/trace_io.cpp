@@ -1,5 +1,6 @@
 #include "core/trace_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -24,6 +25,20 @@ struct Record {
 static_assert(sizeof(Record) == 24, "trace record layout drifted");
 
 constexpr std::uint8_t kMaxKind = static_cast<std::uint8_t>(OpKind::kPcommit);
+constexpr std::uint8_t kMaxFlush = static_cast<std::uint8_t>(FlushKind::kLog);
+
+/// Whole records between the read position and the end of the stream, or
+/// 0 when the stream cannot seek.
+std::uint64_t records_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  if (here < 0) return 0;
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) / sizeof(Record)
+                    : 0;
+}
 
 }  // namespace
 
@@ -61,8 +76,11 @@ TraceIoResult read_trace(std::istream& is, Trace& trace) {
   is.read(reinterpret_cast<char*>(&count), sizeof count);
   if (!is) return {false, "truncated header"};
 
+  // The header count is untrusted: reserve no more records than the
+  // stream holds, so a corrupt count ends in a truncation error rather
+  // than a huge allocation.
   std::vector<MicroOp> ops;
-  ops.reserve(count);
+  ops.reserve(std::min(count, records_left(is)));
   for (std::uint64_t i = 0; i < count; ++i) {
     Record r{};
     is.read(reinterpret_cast<char*>(&r), sizeof r);
@@ -73,6 +91,10 @@ TraceIoResult read_trace(std::istream& is, Trace& trace) {
     if (r.kind > kMaxKind) {
       return {false, "corrupt op kind " + std::to_string(r.kind) + " at op " +
                          std::to_string(i)};
+    }
+    if (r.flush > kMaxFlush) {
+      return {false, "corrupt flush kind " + std::to_string(r.flush) +
+                         " at op " + std::to_string(i)};
     }
     MicroOp op;
     op.kind = static_cast<OpKind>(r.kind);

@@ -19,10 +19,6 @@ MemoryController::MemoryController(std::string name, const MemCtrlConfig& cfg,
   banks_.assign(map_.total_banks(), Bank{cfg_.timing});
   acts_.assign(cfg_.ranks, {});
   last_write_end_.assign(cfg_.ranks, 0);
-  seen_lines_.reserve(std::max(cfg_.read_queue, cfg_.write_queue));
-  // Every array write bumps a per-line wear count; pre-sizing the table
-  // keeps the hot path off the rehash cliff for typical footprints.
-  wear_.reserve(1u << 15);
   stat_reads_ = CounterHandle(*stats_, name_ + ".reads");
   stat_writes_ = CounterHandle(*stats_, name_ + ".writes");
   for (unsigned s = 0; s < kSourceCount; ++s) {
@@ -69,6 +65,7 @@ bool MemoryController::enqueue(MemRequest req, Cycle now) {
     p.coord = map_.decode(p.req.line_addr);
     p.flat_bank = map_.flat_bank(p.coord);
     read_q_.push_back(std::move(p));
+    reads_blocked_until_ = kUnscanned;
     return true;
   }
   if (write_queue_full()) return false;
@@ -76,79 +73,49 @@ bool MemoryController::enqueue(MemRequest req, Cycle now) {
   p.coord = map_.decode(p.req.line_addr);
   p.flat_bank = map_.flat_bank(p.coord);
   write_q_.push_back(std::move(p));
+  writes_blocked_until_ = kUnscanned;
   return true;
 }
 
-bool MemoryController::rank_constrained_(unsigned rank, bool is_read,
-                                         bool opens_row, Cycle now) const {
-  // tFAW: a fifth activation within the window must wait.
-  if (cfg_.tfaw > 0 && opens_row) {
-    const Cycle oldest = acts_[rank][0];  // kept sorted ascending
-    if (oldest + cfg_.tfaw > now) return true;
-  }
-  // tWTR: a read cannot follow a write on the same rank too closely.
-  if (cfg_.twtr > 0 && is_read &&
-      last_write_end_[rank] + cfg_.twtr > now) {
-    return true;
-  }
-  return false;
-}
-
-int MemoryController::pick(const std::deque<Pending>& q, Cycle now) const {
-  // §3: "different write requests of conflicted addresses are issued to the
-  // NVM in program order" — an entry is not schedulable while an older
-  // same-line entry is still queued. One forward sweep tracks the lines
-  // already seen, keeping the scan linear.
-  seen_lines_.clear();
-  int oldest_ready = -1;
+MemoryController::Scan MemoryController::scan_(const std::deque<Pending>& q,
+                                               Cycle now) const {
+  Scan s;
   for (std::size_t i = 0; i < q.size(); ++i) {
-    const Addr line = q[i].req.line_addr;
-    const bool conflicted =
-        std::find(seen_lines_.begin(), seen_lines_.end(), line) !=
-        seen_lines_.end();
-    if (conflicted) continue;
-    seen_lines_.push_back(line);
-    const BankCoord& c = q[i].coord;
-    const Bank& bank = banks_[q[i].flat_bank];
-    if (!bank.ready_at(now)) continue;
-    const bool hit = bank.row_hit(c.row);
-    if (rank_constrained_(c.rank, q[i].req.op == MemOp::kRead, !hit, now)) {
+    const Pending& p = q[i];
+    const Bank& bank = banks_[p.flat_bank];
+    const bool hit = bank.row_hit(p.coord.row);
+    Cycle ready = bank.busy_until();
+    // tFAW: a fifth activation within the window must wait.
+    if (cfg_.tfaw > 0 && !hit) {
+      ready = std::max(ready, acts_[p.coord.rank][0] + cfg_.tfaw);
+    }
+    // tWTR: a read cannot follow a write on the same rank too closely.
+    if (cfg_.twtr > 0 && p.req.op == MemOp::kRead) {
+      ready = std::max(ready, last_write_end_[p.coord.rank] + cfg_.twtr);
+    }
+    // The same-line check runs last, and only for an entry that could
+    // change the result: most entries wait on a busy bank.
+    if (ready > now) {
+      if (ready < s.ready && !behind_same_line_(q, i)) s.ready = ready;
       continue;
     }
-    if (hit) return static_cast<int>(i);  // FR: row hit first.
-    if (oldest_ready < 0) oldest_ready = static_cast<int>(i);
+    if (behind_same_line_(q, i)) continue;
+    if (hit) return {static_cast<int>(i), now};  // FR: row hit first.
+    if (s.pick < 0) s.pick = static_cast<int>(i);
   }
-  return oldest_ready;  // FCFS among bank-ready row misses.
+  if (s.pick >= 0) s.ready = now;  // FCFS among bank-ready row misses.
+  return s;
 }
 
-Cycle MemoryController::queue_next_(const std::deque<Pending>& q,
-                                    Cycle now) const {
-  // Mirror of pick(): for each non-conflicted entry, the earliest cycle at
-  // which its bank is ready and its rank constraints clear — valid while
-  // nothing issues, which is exactly the window the cluster may skip.
-  seen_lines_.clear();
-  Cycle next = kNeverCycle;
-  for (const Pending& p : q) {
-    const Addr line = p.req.line_addr;
-    const bool conflicted =
-        std::find(seen_lines_.begin(), seen_lines_.end(), line) !=
-        seen_lines_.end();
-    if (conflicted) continue;
-    // ntclint-suppress(hot-alloc): capacity reserved at construction
-    seen_lines_.push_back(line);
-    const Bank& bank = banks_[p.flat_bank];
-    Cycle t = std::max(now + 1, bank.busy_until());
-    const bool hit = bank.row_hit(p.coord.row);
-    if (cfg_.tfaw > 0 && !hit) {
-      t = std::max(t, acts_[p.coord.rank][0] + cfg_.tfaw);
-    }
-    if (cfg_.twtr > 0 && p.req.op == MemOp::kRead) {
-      t = std::max(t, last_write_end_[p.coord.rank] + cfg_.twtr);
-    }
-    if (t <= now + 1) return now + 1;
-    next = std::min(next, t);
-  }
-  return next;
+bool MemoryController::behind_same_line_(const std::deque<Pending>& q,
+                                         std::size_t i) {
+  // §3: "different write requests of conflicted addresses are issued to the
+  // NVM in program order" — an entry waits while an older same-line entry
+  // is still queued.
+  const Addr line = q[i].req.line_addr;
+  return std::any_of(
+      q.begin(), q.begin() + static_cast<std::ptrdiff_t>(i),
+      [line](const Pending& p) { return p.req.line_addr == line; });
 }
 
 Cycle MemoryController::next_event_cycle(Cycle now) const {
@@ -163,10 +130,32 @@ Cycle MemoryController::next_event_cycle(Cycle now) const {
     next = std::min(next, t);
   }
   if (next <= now + 1) return now + 1;
-  next = std::min(next, queue_next_(read_q_, now));
+  // An issue lowers the write queue's occupancy after this tick's drain
+  // check; if it crossed the low watermark, the next tick must leave drain
+  // mode before a later push can hide the crossing.
+  if (drain_flip_due_()) return now + 1;
+  // A queue whose cycle was cleared since the last tick scanned it (an
+  // issue, push or refresh) is scanned here, one cycle ahead, and the
+  // result cached for the next tick.
+  if (reads_blocked_until_ == kUnscanned) {
+    reads_blocked_until_ = scan_(read_q_, now + 1).ready;
+  }
+  next = std::min(next, reads_blocked_until_);
   if (next <= now + 1) return now + 1;
-  next = std::min(next, queue_next_(write_q_, now));
+  if (writes_blocked_until_ == kUnscanned) {
+    writes_blocked_until_ = scan_(write_q_, now + 1).ready;
+  }
+  next = std::min(next, writes_blocked_until_);
   return next <= now + 1 ? now + 1 : next;
+}
+
+bool MemoryController::drain_flip_due_() const {
+  // Write-drain policy (Table 2): read-first normally; once the write queue
+  // crosses the high watermark, service writes until the low watermark.
+  const double occ = static_cast<double>(write_q_.size()) /
+                     static_cast<double>(cfg_.write_queue);
+  return draining_ ? occ <= cfg_.drain_low_watermark
+                   : occ >= cfg_.drain_high_watermark;
 }
 
 void MemoryController::maybe_refresh_(Cycle now) {
@@ -186,43 +175,44 @@ void MemoryController::maybe_refresh_(Cycle now) {
     }
     next_refresh_[r] = now + cfg_.refresh_interval;
     stat_refreshes_->inc();
+    clear_schedule_();
   }
 }
 
 void MemoryController::tick(Cycle now) {
   maybe_refresh_(now);
-  // Write-drain policy (Table 2): read-first normally; once the write queue
-  // crosses the high watermark, service writes until the low watermark.
-  const double occ = static_cast<double>(write_q_.size()) /
-                     static_cast<double>(cfg_.write_queue);
-  if (!draining_ && occ >= cfg_.drain_high_watermark) {
-    draining_ = true;
-    stat_drain_entries_->inc();
-  } else if (draining_ && occ <= cfg_.drain_low_watermark) {
-    draining_ = false;
+  if (drain_flip_due_()) {
+    draining_ = !draining_;
+    if (draining_) stat_drain_entries_->inc();
   }
 
-  auto try_issue_from = [&](std::deque<Pending>& q) {
-    const int i = pick(q, now);
-    if (i < 0) return false;
-    Pending p = std::move(q[static_cast<std::size_t>(i)]);
-    q.erase(q.begin() + i);
-    issue(std::move(p), now);
-    return true;
-  };
-
   if (draining_) {
-    if (try_issue_from(write_q_)) return;
-    try_issue_from(read_q_);
+    if (try_issue_(write_q_, writes_blocked_until_, now)) return;
+    try_issue_(read_q_, reads_blocked_until_, now);
   } else {
-    if (try_issue_from(read_q_)) return;
+    if (try_issue_(read_q_, reads_blocked_until_, now)) return;
     // Opportunistic writes: reads have priority, but an idle channel may
     // still retire writes (read-first, not read-only).
-    if (read_q_.empty()) try_issue_from(write_q_);
+    if (read_q_.empty()) try_issue_(write_q_, writes_blocked_until_, now);
   }
 }
 
-void MemoryController::issue(Pending p, Cycle now) {
+bool MemoryController::try_issue_(std::deque<Pending>& q, Cycle& blocked_until,
+                                  Cycle now) {
+  if (now < blocked_until) return false;
+  const Scan s = scan_(q, now);
+  if (s.pick < 0) {
+    blocked_until = s.ready;
+    return false;
+  }
+  issue_(q, s.pick, now);
+  return true;
+}
+
+void MemoryController::issue_(std::deque<Pending>& q, int i, Cycle now) {
+  Pending p = std::move(q[static_cast<std::size_t>(i)]);
+  q.erase(q.begin() + i);
+  clear_schedule_();
   const BankCoord& c = p.coord;
   Bank& bank = banks_[p.flat_bank];
   const bool is_write = p.req.op == MemOp::kWrite;
@@ -271,13 +261,14 @@ void MemoryController::issue(Pending p, Cycle now) {
 WearStats MemoryController::wear() const {
   WearStats w;
   w.lines_touched = wear_.size();
-  for (const auto& [line, count] : wear_) {
+  wear_.for_each([&w](Addr line, std::uint32_t count) {
     w.total_writes += count;
-    if (count > w.max_writes) {
+    if (count > w.max_writes ||
+        (count == w.max_writes && line < w.hottest_line)) {
       w.max_writes = count;
       w.hottest_line = line;
     }
-  }
+  });
   if (w.lines_touched > 0) {
     w.mean_writes = static_cast<double>(w.total_writes) /
                     static_cast<double>(w.lines_touched);

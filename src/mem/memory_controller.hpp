@@ -13,12 +13,12 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
 #include "common/hot.hpp"
+#include "common/line_map.hpp"
 #include "common/stat_handle.hpp"
 #include "common/stats.hpp"
 #include "mem/address_map.hpp"
@@ -60,7 +60,9 @@ class MemoryController {
   /// contract): the earliest schedulable queue entry under the frozen
   /// bank/rank timing state, or the earliest rank refresh with its banks
   /// idle. kNeverCycle when the queues are empty and refresh is disabled
-  /// (in-flight completions are event-driven).
+  /// (in-flight completions are event-driven). Reads the per-queue cycles
+  /// the scheduler cached; scans a queue only when a state change has
+  /// cleared its cycle since.
   NTC_HOT Cycle next_event_cycle(Cycle now) const;
 
   /// Per-rank refresh bookkeeping (no-op when refresh is disabled).
@@ -69,28 +71,47 @@ class MemoryController {
   const std::string& name() const { return name_; }
 
   /// Whole-run per-line wear summary (array writes, not queue traffic).
+  /// Among equally worn lines the lowest address is the hottest.
   WearStats wear() const;
 
  private:
   struct Pending {
     MemRequest req;
     Cycle arrival = 0;
-    /// Decoded once at enqueue (line_addr is immutable afterwards); pick()
-    /// re-examines every queued entry each channel cycle and must not pay
-    /// the full address decode per scan element.
+    /// Decoded once at enqueue (line_addr is immutable afterwards); the
+    /// scheduler re-examines queued entries and must not pay the full
+    /// address decode per scan element.
     BankCoord coord;
     unsigned flat_bank = 0;
   };
 
-  /// Index into the given queue of the next schedulable request under
-  /// FR-FCFS with same-address ordering, or -1 if none is issuable now.
-  int pick(const std::deque<Pending>& q, Cycle now) const;
-  /// Earliest cycle > now at which some entry of `q` becomes schedulable,
-  /// assuming no state change before then (mirrors pick()'s constraints).
-  NTC_HOT Cycle queue_next_(const std::deque<Pending>& q, Cycle now) const;
-  bool rank_constrained_(unsigned rank, bool is_read, bool opens_row,
-                         Cycle now) const;
-  void issue(Pending p, Cycle now);
+  /// One FR-FCFS pass over a queue at cycle `now`.
+  struct Scan {
+    /// The entry to issue now (first bank-ready row hit, else the oldest
+    /// bank-ready miss), or -1 when none is issuable.
+    int pick = -1;
+    /// Earliest cycle at which some entry could issue under the current
+    /// bank/rank state: `now` when pick >= 0, kNeverCycle for a queue
+    /// with nothing schedulable.
+    Cycle ready = kNeverCycle;
+  };
+  /// An entry is not schedulable while an older same-line entry is still
+  /// queued (program-order writes, §3); otherwise it is issuable once its
+  /// bank is free and its rank's tFAW/tWTR windows have cleared.
+  Scan scan_(const std::deque<Pending>& q, Cycle now) const;
+  /// An older entry of `q` targets the same line as q[i].
+  static bool behind_same_line_(const std::deque<Pending>& q, std::size_t i);
+  /// Issue from `q` if anything is issuable now; a scan that finds nothing
+  /// caches its ready cycle in `blocked_until`, and until that cycle the
+  /// queue is not rescanned.
+  bool try_issue_(std::deque<Pending>& q, Cycle& blocked_until, Cycle now);
+  void issue_(std::deque<Pending>& q, int i, Cycle now);
+  /// The next tick enters or leaves write-drain mode.
+  bool drain_flip_due_() const;
+  /// Forget both cached cycles: the bank/rank state changed.
+  void clear_schedule_() {
+    reads_blocked_until_ = writes_blocked_until_ = kUnscanned;
+  }
 
   std::string name_;
   MemCtrlConfig cfg_;
@@ -100,10 +121,15 @@ class MemoryController {
   std::vector<Bank> banks_;
   std::deque<Pending> read_q_;
   std::deque<Pending> write_q_;
-  /// pick() scratch: the queues hold at most 64 entries, so a linear probe
-  /// of a flat vector beats hashing every line address.
-  mutable std::vector<Addr> seen_lines_;
-  std::unordered_map<Addr, std::uint32_t> wear_;  ///< line -> array writes.
+  /// Cached schedule, per queue: no entry of that queue can issue before
+  /// this cycle under the current bank/rank state. A push clears its
+  /// queue's cycle; an issue or a fired refresh clears both. kUnscanned
+  /// (never a computed value: a scan at `now` that finds nothing reports a
+  /// cycle > now) means "scan before trusting".
+  static constexpr Cycle kUnscanned = 0;
+  mutable Cycle reads_blocked_until_ = kUnscanned;
+  mutable Cycle writes_blocked_until_ = kUnscanned;
+  LineMap<std::uint32_t> wear_;  ///< line -> array writes.
   Cycle bus_busy_until_ = 0;
   std::vector<Cycle> next_refresh_;  ///< Per rank; empty when disabled.
   /// tFAW sliding window: the last four activate times per rank.

@@ -111,7 +111,9 @@ WearStats MemorySystem::nvm_wear() const {
     const WearStats w = ch->wear();
     total.lines_touched += w.lines_touched;
     total.total_writes += w.total_writes;
-    if (w.max_writes > total.max_writes) {
+    if (w.max_writes > total.max_writes ||
+        (w.max_writes == total.max_writes && w.max_writes > 0 &&
+         w.hottest_line < total.hottest_line)) {
       total.max_writes = w.max_writes;
       total.hottest_line = w.hottest_line;
     }

@@ -75,7 +75,8 @@ class MemorySystem {
   unsigned nvm_channel_count() const {
     return static_cast<unsigned>(nvm_channels_.size());
   }
-  /// Aggregate per-line wear across every NVM channel.
+  /// Aggregate per-line wear across every NVM channel; ties between
+  /// channels go to the lower address, as within one.
   WearStats nvm_wear() const;
   std::size_t nvm_pending_writes() const;
 

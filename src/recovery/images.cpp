@@ -18,26 +18,26 @@ void WordImage::store(Addr word_addr, Word value) {
 }
 
 Word WordImage::load(Addr word_addr) const {
-  auto it = lines_.find(line_of(word_addr));
-  if (it == lines_.end()) return 0;
+  const LineWords* lw = lines_.find(line_of(word_addr));
+  if (lw == nullptr) return 0;
   const unsigned i = static_cast<unsigned>((word_addr - line_of(word_addr)) / kWordBytes);
-  return (it->second.mask & (1u << i)) ? it->second.w[i] : 0;
+  return (lw->mask & (1u << i)) ? lw->w[i] : 0;
 }
 
 bool WordImage::contains(Addr word_addr) const {
-  auto it = lines_.find(line_of(word_addr));
-  if (it == lines_.end()) return false;
+  const LineWords* lw = lines_.find(line_of(word_addr));
+  if (lw == nullptr) return false;
   const unsigned i = static_cast<unsigned>((word_addr - line_of(word_addr)) / kWordBytes);
-  return (it->second.mask & (1u << i)) != 0;
+  return (lw->mask & (1u << i)) != 0;
 }
 
 std::vector<std::pair<Addr, Word>> WordImage::words_in_line(Addr line_addr) const {
   std::vector<std::pair<Addr, Word>> out;
-  auto it = lines_.find(line_addr);
-  if (it == lines_.end()) return out;
+  const LineWords* lw = lines_.find(line_addr);
+  if (lw == nullptr) return out;
   for (unsigned i = 0; i < 8; ++i) {
-    if (it->second.mask & (1u << i)) {
-      out.emplace_back(line_addr + i * kWordBytes, it->second.w[i]);
+    if (lw->mask & (1u << i)) {
+      out.emplace_back(line_addr + i * kWordBytes, lw->w[i]);
     }
   }
   return out;

@@ -11,10 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/line_map.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/memory_system.hpp"
@@ -65,11 +65,11 @@ class WordImage {
 
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [line, lw] : lines_) {
+    lines_.for_each([&fn](Addr line, const LineWords& lw) {
       for (unsigned i = 0; i < 8; ++i) {
         if (lw.mask & (1u << i)) fn(line + i * kWordBytes, lw.w[i]);
       }
-    }
+    });
   }
 
  private:
@@ -78,10 +78,11 @@ class WordImage {
     cached_line_ = ~Addr{0};
   }
 
-  std::unordered_map<Addr, LineWords> lines_;
+  LineMap<LineWords> lines_;
   /// One-line MRU store cache: drains hit the same 64 B line word after
-  /// word, and unordered_map values are pointer-stable across inserts, so
-  /// the repeat hash lookups collapse into a single pointer compare.
+  /// word, so the repeat hash lookups collapse into a single compare. Only
+  /// a miss can insert (and so rehash, moving every slot), and every miss
+  /// re-aims the pointer, so it never dangles.
   Addr cached_line_ = ~Addr{0};
   LineWords* cached_ = nullptr;
 };

@@ -49,12 +49,6 @@ void Cluster::step_() {
 
 void Cluster::advance_clock_(Cycle limit) {
   if (!cfg_.skip.enabled || now_ >= limit) return;
-  // A drained cluster must not advance: the run ends at the first cycle
-  // finished() holds, and a jump here (to the next periodic refresh, say)
-  // would inflate now_ — and the cycles metric — past where the
-  // cycle-stepped run stops. This is the price of skipping: one extra
-  // finished() scan per executed cycle.
-  if (finished()) return;
   // The last executed cycle is now_ - 1; every component's quiescence
   // contract is relative to it. The earliest event-queue delivery bounds
   // the jump first: an event callback is external input the components
@@ -68,7 +62,7 @@ void Cluster::advance_clock_(Cycle limit) {
   if (target <= now_) return;
   if (target == kNeverCycle) {
     // No component will ever act again, the event queue is empty, and the
-    // cluster is not finished (checked above): a deadlock. Jump straight
+    // cluster is not finished (the caller checked): a deadlock. Jump straight
     // to the cap for a fast, bit-identical kCycleCap.
     target = limit;
   }
@@ -125,26 +119,32 @@ bool Cluster::finished() const {
   return events_.empty();
 }
 
+// Both loops test finished() once per executed cycle, right after the
+// step, and advance the clock only when it is false: a jump changes no
+// component state, so the answer still holds at the landing cycle.
 RunStatus Cluster::run(Cycle max_cycles) {
   const Cycle limit = now_ + max_cycles;
-  while (!finished()) {
+  if (finished()) return RunStatus::kFinished;
+  for (;;) {
     if (now_ >= limit) {
       timed_out_ = true;
       return RunStatus::kCycleCap;
     }
     step_();
+    if (finished()) return RunStatus::kFinished;
     advance_clock_(limit);
   }
-  return RunStatus::kFinished;
 }
 
 bool Cluster::run_for(Cycle cycles) {
   const Cycle until = now_ + cycles;
-  while (now_ < until && !finished()) {
+  bool done = finished();
+  while (!done && now_ < until) {
     step_();
-    advance_clock_(until);
+    done = finished();
+    if (!done) advance_clock_(until);
   }
-  return finished();
+  return done;
 }
 
 recovery::WordImage Cluster::crash_and_recover(NodeId node) const {

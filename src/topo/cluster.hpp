@@ -132,6 +132,10 @@ class Cluster {
   /// delivery and jump now_ there (clamped to `limit`, exclusive of
   /// nothing — limit itself is a legal landing cycle for run()'s cap
   /// check). No-op when skipping is off or no cycle can be skipped.
+  /// Callers invoke it only on an unfinished cluster: a drained cluster
+  /// must not advance, since a jump (to the next periodic refresh, say)
+  /// would inflate now_ — and the cycles metric — past where the
+  /// cycle-stepped run stops.
   void advance_clock_(Cycle limit);
   /// skip.verify: single-step the claimed-idle window instead of jumping,
   /// aborting loudly if any supposedly skippable cycle did work.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace ntcsim::recovery {
 namespace {
 
@@ -54,6 +56,32 @@ TEST(WordImage, ForEachVisitsAllWords) {
   });
   EXPECT_EQ(count, 3);
   EXPECT_EQ(sum, 6u);
+}
+
+TEST(WordImage, StoreCacheSurvivesRehashes) {
+  // Stores to one hot line interleave with first stores to fresh lines.
+  // Each fresh line may rehash the table and move every slot, so the
+  // one-line store cache must never write through a pointer into the old
+  // table (ASan flags it; the read-back catches a lost store).
+  WordImage img;
+  std::map<Addr, Word> ref;
+  auto store = [&](Addr a, Word v) {
+    img.store(a, v);
+    ref[a] = v;
+  };
+  const Addr hot = 0x1000;
+  for (unsigned i = 0; i < 5000; ++i) {
+    store(hot + (i % 8) * kWordBytes, i);
+    store(0x200000000ULL + Addr{i} * kLineBytes + (i % 8) * kWordBytes,
+          100000 + i);
+    store(hot + ((i + 3) % 8) * kWordBytes, 200000 + i);
+  }
+  EXPECT_EQ(img.line_count(), 5001u);
+  for (const auto& [addr, value] : ref) {
+    ASSERT_TRUE(img.contains(addr)) << std::hex << addr;
+    ASSERT_EQ(img.load(addr), value) << std::hex << addr;
+  }
+  EXPECT_EQ(img.words_in_line(hot).size(), 8u);
 }
 
 TEST(DurableState, AppliesWritePayload) {

@@ -81,6 +81,37 @@ TEST(TraceIo, RejectsCorruptKind) {
   EXPECT_NE(r.error.find("corrupt"), std::string::npos);
 }
 
+TEST(TraceIo, HugeHeaderCountIsAnErrorNotAnAllocation) {
+  // A header claiming 2^62 ops over a one-op body must fail as truncated;
+  // reserving the claimed count would abort (or allocate exabytes).
+  Trace one;
+  one.push(MicroOp::compute());
+  std::stringstream ss;
+  ASSERT_TRUE(write_trace(ss, one).ok);
+  std::string bytes = ss.str();
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  bytes.replace(8, sizeof huge, reinterpret_cast<const char*>(&huge),
+                sizeof huge);
+  std::stringstream bad(bytes);
+  Trace out;
+  const auto r = read_trace(bad, out);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("truncated"), std::string::npos) << r.error;
+}
+
+TEST(TraceIo, RejectsCorruptFlushKind) {
+  const Trace in = sample_trace();
+  std::stringstream ss;
+  ASSERT_TRUE(write_trace(ss, in).ok);
+  std::string bytes = ss.str();
+  bytes[16 + 1] = 9;  // first record's flush byte
+  std::stringstream bad(bytes);
+  Trace out;
+  const auto r = read_trace(bad, out);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("corrupt flush"), std::string::npos) << r.error;
+}
+
 TEST(TraceIo, WorkloadTraceRoundTripsExactly) {
   AddressSpace space;
   workload::SimHeap heap(space, 1);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/memory_controller.hpp"
+#include "mem/memory_system.hpp"
 #include "sim/system.hpp"
 #include "workload/workloads.hpp"
 
@@ -44,6 +45,69 @@ TEST(Wear, CountsArrayWritesPerLine) {
   EXPECT_EQ(w.max_writes, 2u);
   EXPECT_EQ(w.hottest_line, 0u);
   EXPECT_DOUBLE_EQ(w.mean_writes, 1.5);
+}
+
+TEST(Wear, EquallyWornLinesReportTheLowestAddress) {
+  MemCtrlConfig cfg;
+  cfg.ranks = 1;
+  cfg.banks_per_rank = 4;
+  cfg.read_queue = 4;
+  cfg.write_queue = 8;
+  EventQueue events;
+  StatSet stats;
+  MemoryController mc("nvm", cfg, events, stats);
+
+  Cycle now = 0;
+  auto put = [&](Addr line) {
+    MemRequest w;
+    w.op = MemOp::kWrite;
+    w.line_addr = line;
+    while (!mc.enqueue(w, now)) {
+      events.drain_until(now);
+      mc.tick(now++);
+    }
+  };
+  // Four lines tie at two writes each, in an order unrelated to their
+  // addresses; one line has a single write.
+  for (int round = 0; round < 2; ++round) {
+    for (Addr line : {0x9000, 0x5040, 0x7000, 0x3040}) put(line);
+  }
+  put(0x40);
+  while (!mc.idle()) {
+    events.drain_until(now);
+    mc.tick(now++);
+  }
+
+  const WearStats w = mc.wear();
+  EXPECT_EQ(w.lines_touched, 5u);
+  EXPECT_EQ(w.max_writes, 2u);
+  EXPECT_EQ(w.hottest_line, 0x3040u);
+}
+
+TEST(Wear, ChannelTiesReportTheLowestAddress) {
+  // Two line-interleaved channels: the higher line of the tied pair sits
+  // on channel 0, which the aggregate visits first.
+  SystemConfig cfg = SystemConfig::tiny();
+  cfg.nvm.channels = 2;
+  EventQueue events;
+  StatSet stats;
+  MemorySystem mem(cfg, events, stats);
+  const Addr base = cfg.address_space.nvm_base();
+  Cycle now = 0;
+  for (Addr line : {base + 2 * kLineBytes, base + kLineBytes}) {
+    MemRequest w;
+    w.op = MemOp::kWrite;
+    w.line_addr = line;
+    ASSERT_TRUE(mem.enqueue(w, now));
+  }
+  for (; now < 2000; ++now) {
+    events.drain_until(now);
+    mem.tick(now);
+  }
+  const WearStats w = mem.nvm_wear();
+  EXPECT_EQ(w.lines_touched, 2u);
+  EXPECT_EQ(w.max_writes, 1u);
+  EXPECT_EQ(w.hottest_line, base + kLineBytes);
 }
 
 TEST(Wear, ReadsDoNotWear) {
