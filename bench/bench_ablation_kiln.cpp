@@ -8,47 +8,11 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "persist/kiln_unit.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
-#include "sim/system.hpp"
-#include "workload/workloads.hpp"
-
-namespace {
-
-using namespace ntcsim;
-
-sim::Metrics run_kiln(WorkloadKind wl, const persist::KilnConfig& kc,
-                      double scale) {
-  // The KilnUnit currently takes its config at System construction from
-  // KilnConfig{} defaults, so this ablation builds the system by hand.
-  SystemConfig cfg = SystemConfig::experiment();
-  cfg.mechanism = Mechanism::kKiln;
-  workload::WorkloadParams p = workload::default_params(wl);
-  p.ops = static_cast<std::size_t>(static_cast<double>(p.ops) * scale);
-  if (p.ops == 0) p.ops = 1;
-
-  workload::SimHeap heap(cfg.address_space, cfg.cores);
-  std::vector<workload::TraceBundle> b;
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    b.push_back(workload::generate_phased(p, c, heap, nullptr));
-  }
-  sim::System sys(cfg, sim::SystemOptions{}, kc);
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    sys.load_trace(c, std::move(b[c].setup));
-  }
-  sys.run();
-  sys.reset_stats();
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    sys.load_trace(c, std::move(b[c].measured));
-  }
-  sys.run();
-  return sys.metrics();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace ntcsim;
   sim::ExperimentOptions opts = sim::parse_bench_args(argc, argv);
   opts.scale *= 0.5;  // ablations sweep many cells; half-length runs suffice
   const WorkloadKind wl = WorkloadKind::kRbtree;
@@ -56,19 +20,16 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<unsigned, unsigned>> kPoints = {
       {10, 2}, {25, 5}, {40, 10}, {80, 20}, {160, 40}};
 
-  // Each sweep point builds its own System, so the whole table — baseline
-  // included — parallelizes with run_jobs (index 0 is the Optimal cell).
-  const auto cells =
-      sim::run_jobs(kPoints.size() + 1, opts.jobs, [&](std::size_t i) {
-        if (i == 0) {
-          SystemConfig base = SystemConfig::experiment();
-          return sim::run_cell(Mechanism::kOptimal, wl, base, opts);
-        }
-        persist::KilnConfig kc;
-        kc.commit_fixed_cycles = kPoints[i - 1].first;
-        kc.cycles_per_line = kPoints[i - 1].second;
-        return run_kiln(wl, kc, opts.scale);
-      });
+  // The Optimal baseline, then one Kiln cell per commit-cost point.
+  std::vector<sim::JobSpec> specs;
+  specs.push_back({Mechanism::kOptimal, wl, SystemConfig::experiment(), opts});
+  for (const auto& [fixed, per_line] : kPoints) {
+    SystemConfig cfg = SystemConfig::experiment();
+    cfg.kiln.commit_fixed_cycles = fixed;
+    cfg.kiln.cycles_per_line = per_line;
+    specs.push_back({Mechanism::kKiln, wl, cfg, opts});
+  }
+  const std::vector<sim::Metrics> cells = sim::run_sweep(specs, opts.jobs);
   const sim::Metrics& opt = cells[0];
 
   std::cout << "Ablation: Kiln commit cost (rbtree; Optimal = "

@@ -10,41 +10,24 @@
 #include "sim/energy.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
-#include "sim/system.hpp"
-#include "workload/workloads.hpp"
 
 namespace {
 
 using namespace ntcsim;
 
-struct Cell {
+struct EnergyCell {
   sim::Metrics metrics;
   sim::EnergyBreakdown energy;
 };
 
-Cell run(Mechanism mech, WorkloadKind wl, double scale) {
+EnergyCell run(Mechanism mech, WorkloadKind wl,
+               const sim::ExperimentOptions& opts) {
   SystemConfig cfg = SystemConfig::experiment();
   cfg.mechanism = mech;
-  workload::WorkloadParams p = workload::default_params(wl);
-  p.ops = static_cast<std::size_t>(static_cast<double>(p.ops) * scale);
-  if (p.ops == 0) p.ops = 1;
-
-  workload::SimHeap heap(cfg.address_space, cfg.cores);
-  std::vector<workload::TraceBundle> b;
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    b.push_back(workload::generate_phased(p, c, heap, nullptr));
-  }
-  sim::System sys(cfg);
-  for (CoreId c = 0; c < cfg.cores; ++c) sys.load_trace(c, std::move(b[c].setup));
-  sys.run();
-  sys.reset_stats();
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    sys.load_trace(c, std::move(b[c].measured));
-  }
-  sys.run();
-  Cell cell;
-  cell.metrics = sys.metrics();
-  cell.energy = sim::estimate_energy(sys.stats(), cfg.cores,
+  sim::Cell sim_cell(cfg, sim::cell_params(wl, cfg, opts));
+  EnergyCell cell;
+  cell.metrics = sim_cell.run();
+  cell.energy = sim::estimate_energy(sim_cell.cluster().stats(), cfg.cores,
                                      mech == Mechanism::kKiln,
                                      cell.metrics.committed_txs);
   return cell;
@@ -66,7 +49,7 @@ int main(int argc, char** argv) {
   const auto cells = sim::run_jobs(
       std::size(kWls) * std::size(kMechs), opts.jobs, [&](std::size_t i) {
         return run(kMechs[i % std::size(kMechs)], kWls[i / std::size(kMechs)],
-                   opts.scale);
+                   opts);
       });
 
   std::cout << "Extension: memory-system energy per transaction (nJ)\n"
@@ -77,7 +60,7 @@ int main(int argc, char** argv) {
              "NVM nJ/tx"});
     double base = 0.0;
     for (Mechanism mech : kMechs) {
-      const Cell& c = cells[i++];
+      const EnergyCell& c = cells[i++];
       if (mech == Mechanism::kOptimal) base = c.energy.per_tx_nj;
       const double txs = static_cast<double>(c.metrics.committed_txs);
       t.add_row(std::string(to_string(mech)),

@@ -17,12 +17,13 @@ namespace {
 
 using namespace ntcsim;
 
-mem::WearStats run_wear(Mechanism mech, WorkloadKind wl, double scale) {
+// Single-phase on purpose: wear counts the whole run, setup included, so
+// this is not a sim::Cell.
+mem::WearStats run_wear(Mechanism mech, WorkloadKind wl,
+                        const sim::ExperimentOptions& opts) {
   SystemConfig cfg = SystemConfig::experiment();
   cfg.mechanism = mech;
-  workload::WorkloadParams p = workload::default_params(wl);
-  p.ops = static_cast<std::size_t>(static_cast<double>(p.ops) * scale);
-  if (p.ops == 0) p.ops = 1;
+  const workload::WorkloadParams p = sim::cell_params(wl, cfg, opts);
   workload::SimHeap heap(cfg.address_space, cfg.cores);
   sim::System sys(cfg);
   for (CoreId c = 0; c < cfg.cores; ++c) {
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   const auto cells = sim::run_jobs(
       std::size(kWls) * std::size(kMechs), opts.jobs, [&](std::size_t i) {
         return run_wear(kMechs[i % std::size(kMechs)],
-                        kWls[i / std::size(kMechs)], opts.scale);
+                        kWls[i / std::size(kMechs)], opts);
       });
 
   std::cout << "Extension: NVM per-line wear (whole run incl. setup)\n"

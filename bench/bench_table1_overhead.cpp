@@ -7,9 +7,11 @@
 
 #include "common/config.hpp"
 #include "common/table.hpp"
+#include "sim/experiment.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ntcsim;
+  sim::parse_bench_args(argc, argv);  // no knobs, but argv is still checked
   const SystemConfig cfg = SystemConfig::paper();
 
   const std::uint64_t ntc_entries = cfg.ntc.entries();

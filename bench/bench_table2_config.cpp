@@ -6,10 +6,12 @@
 
 #include "common/config.hpp"
 #include "common/table.hpp"
+#include "sim/experiment.hpp"
 #include "workload/workloads.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ntcsim;
+  sim::parse_bench_args(argc, argv);  // no knobs, but argv is still checked
   const SystemConfig c = SystemConfig::paper();
 
   auto ns = [&](unsigned cycles) {

@@ -5,7 +5,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "sim/system.hpp"
+#include "sim/experiment.hpp"
 #include "workload/workloads.hpp"
 
 int main() {
@@ -16,32 +16,18 @@ int main() {
   SystemConfig cfg = SystemConfig::experiment();
   cfg.mechanism = Mechanism::kTc;  // the paper's accelerator
 
-  // 2. Generate a workload: a red-black tree per core, setup phase plus a
+  // 2. Pick a workload: a red-black tree per core, setup phase plus a
   //    measured phase of one search/insert transaction per operation.
   workload::WorkloadParams params =
       workload::default_params(WorkloadKind::kRbtree);
   params.ops = 1000;
 
-  workload::SimHeap heap(cfg.address_space, cfg.cores);
-  std::vector<workload::TraceBundle> traces;
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    traces.push_back(workload::generate_phased(params, c, heap, nullptr));
-  }
-
-  // 3. Build the system, warm it with the setup phase, then measure.
-  sim::System sys(cfg);
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    sys.load_trace(c, std::move(traces[c].setup));
-  }
-  sys.run();
-  sys.reset_stats();
-  for (CoreId c = 0; c < cfg.cores; ++c) {
-    sys.load_trace(c, std::move(traces[c].measured));
-  }
-  sys.run();
+  // 3. A Cell generates the traces and warms the machine with the setup
+  //    phase; run() measures the steady state.
+  sim::Cell cell(cfg, params);
+  const sim::Metrics m = cell.run();
 
   // 4. Read the results.
-  const sim::Metrics m = sys.metrics();
   std::printf("rbtree under TC on the paper machine (scaled LLC):\n");
   std::printf("  cycles                 %llu\n",
               static_cast<unsigned long long>(m.cycles));

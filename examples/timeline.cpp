@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "sim/experiment.hpp"
 #include "sim/timeline.hpp"
 #include "workload/workloads.hpp"
 
@@ -23,14 +24,10 @@ int main(int argc, char** argv) {
   p.setup_elems = 16 << 10;
   p.ops = 2000;
 
-  workload::SimHeap heap(cfg.address_space, cfg.cores);
-  workload::TraceBundle b = workload::generate_phased(p, 0, heap, nullptr);
-  sim::System sys(cfg);
-  sys.load_trace(0, std::move(b.setup));
-  sys.run();
-  sys.reset_stats();
-  sys.load_trace(0, std::move(b.measured));
-
+  // The Cell warms the machine; the timeline sampler drives the measured
+  // phase itself.
+  sim::Cell cell(cfg, p);
+  sim::Cluster& sys = cell.cluster();
   const auto samples = sim::run_with_timeline(sys, 4000);
 
   std::printf("sps under TC, NTC = %llu B (%llu entries)\n\n",

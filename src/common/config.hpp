@@ -83,6 +83,19 @@ struct TxCacheConfig {
   std::uint64_t entries() const { return size_bytes / kLineBytes; }
 };
 
+/// Kiln commit engine (persist::KilnUnit); set in code, no config keys.
+struct KilnConfig {
+  unsigned commit_fixed_cycles = 40;  ///< Per-commit controller handshake.
+  unsigned cycles_per_line = 10;      ///< Pipelined L1/L2 -> LLC flush rate.
+  /// Lazy clean-back policy: committed NV-LLC lines are written to NVM
+  /// once the backlog reaches `clean_batch` lines or the oldest entry ages
+  /// past `clean_max_age` cycles. The window lets same-line commits of
+  /// successive transactions coalesce into one NVM write — the reason the
+  /// paper's Kiln writes less to NVM than TC (Fig. 9).
+  unsigned clean_batch = 16;
+  Cycle clean_max_age = 2000;
+};
+
 /// Device timing for one memory technology, in CPU cycles (2 GHz: 1 cy = 0.5 ns).
 struct DeviceTiming {
   unsigned row_hit = 30;     ///< CAS-only access.
@@ -218,6 +231,7 @@ struct NodeConfig {
   CacheConfig l2;   ///< Private, 256 KB, 8-way, 4.5 ns.
   CacheConfig llc;  ///< Shared, 64 MB, 16-way, 10 ns.
   TxCacheConfig ntc;
+  KilnConfig kiln;
   MemCtrlConfig dram;
   MemCtrlConfig nvm;
   ServiceConfig service;

@@ -43,9 +43,7 @@ CellInputs make_inputs(const SystemConfig& cfg, const CellSpec& spec,
   for (NodeId n = 0; n < nodes; ++n) {
     workload::SimHeap heap(cfg.address_space, cfg.cores);
     workload::WorkloadParams p = base;
-    // Same node-mixing as the experiment harness: node 0 keeps the raw
-    // seed, so single-node campaigns reproduce pre-cluster cells exactly.
-    p.seed = spec.seed + n * 0x9e3779b9ULL;
+    p.seed = workload::node_seed(spec.seed, n);
     for (CoreId c = 0; c < cfg.cores; ++c) {
       in.traces[n].push_back(workload::generate(
           p, c, heap, n == crash_node ? &in.journal : nullptr));

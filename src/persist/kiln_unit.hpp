@@ -24,18 +24,6 @@
 
 namespace ntcsim::persist {
 
-struct KilnConfig {
-  unsigned commit_fixed_cycles = 40;  ///< Per-commit controller handshake.
-  unsigned cycles_per_line = 10;      ///< Pipelined L1/L2 -> LLC flush rate.
-  /// Lazy clean-back policy: committed NV-LLC lines are written to NVM
-  /// once the backlog reaches `clean_batch` lines or the oldest entry ages
-  /// past `clean_max_age` cycles. The window lets same-line commits of
-  /// successive transactions coalesce into one NVM write — the reason the
-  /// paper's Kiln writes less to NVM than TC (Fig. 9).
-  unsigned clean_batch = 16;
-  Cycle clean_max_age = 2000;
-};
-
 class KilnUnit final : public core::CommitEngine {
  public:
   KilnUnit(unsigned cores, const KilnConfig& cfg, cache::Hierarchy& hier,

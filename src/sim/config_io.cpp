@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <istream>
 #include <map>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "persist/domain.hpp"
 
@@ -22,6 +27,26 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+/// Shortest text that reads back as exactly `v` (integers print as
+/// integers, 0.9 as "0.9").
+template <typename T>
+std::string format_number(T v) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, r.ptr);
+}
+
+template <typename T>
+std::string describe(const Bounds<T>& b) {
+  const char* what = std::is_integral_v<T> ? "an integer" : "a number";
+  if (b.above_min) {
+    return std::string(what) + " > " + format_number(b.min) + " and <= " +
+           format_number(b.max);
+  }
+  return std::string(what) + " from " + format_number(b.min) + " to " +
+         format_number(b.max);
+}
+
 struct Key {
   std::function<bool(SystemConfig&, const std::string&)> set;
   std::function<std::string(const SystemConfig&)> get;
@@ -30,49 +55,61 @@ struct Key {
   std::function<std::string()> hint{};
 };
 
-template <typename T, typename Field>
-Key numeric(Field field) {
-  return Key{
-      [field](SystemConfig& c, const std::string& v) {
-        std::istringstream iss(v);
-        T parsed{};
-        iss >> parsed;
-        if (iss.fail()) return false;
-        c.*field = parsed;
-        return true;
-      },
-      [field](const SystemConfig& c) {
-        std::ostringstream oss;
-        oss << c.*field;
-        return oss.str();
-      }};
+/// Accessors for the config field a key stores into, usable on const and
+/// mutable configs alike.
+template <typename Base, typename T>
+auto field(T Base::* member) {
+  return [member](auto& c) -> auto& { return c.*member; };
+}
+template <typename Base, typename Sub, typename T>
+auto field(Sub Base::* sub, T Sub::* member) {
+  return [sub, member](auto& c) -> auto& { return (c.*sub).*member; };
 }
 
-/// Nested-member accessor: numeric field of a sub-struct.
-template <typename T, typename Sub, typename SubField>
-Key nested(Sub sub, SubField field, T scale = 1) {
-  return Key{
-      [sub, field, scale](SystemConfig& c, const std::string& v) {
-        std::istringstream iss(v);
-        double parsed{};
-        iss >> parsed;
-        if (iss.fail()) return false;
-        (c.*sub).*field = static_cast<T>(parsed * static_cast<double>(scale));
-        return true;
-      },
-      [sub, field, scale](const SystemConfig& c) {
-        std::ostringstream oss;
-        oss << static_cast<double>((c.*sub).*field) /
-                   static_cast<double>(scale);
-        return oss.str();
-      }};
+/// A numeric key over the field `at` selects, parsed as that field's type.
+/// The field holds `value * unit` (the size_kb keys store bytes), so the
+/// upper bound shrinks until every accepted value scales without overflow.
+template <typename At, typename T = std::remove_cvref_t<
+                           decltype(std::declval<At>()(
+                               std::declval<SystemConfig&>()))>>
+Key number(At at, Bounds<T> bounds, std::type_identity_t<T> unit = 1) {
+  bounds.max = std::min(bounds.max, std::numeric_limits<T>::max() / unit);
+  return Key{[at, bounds, unit](SystemConfig& c, const std::string& v) {
+               T parsed{};
+               if (!parse_number("", v, bounds, parsed).empty()) return false;
+               at(c) = parsed * unit;
+               return true;
+             },
+             [at, unit](const SystemConfig& c) {
+               return format_number(at(c) / unit);
+             },
+             [bounds] { return "expected " + describe(bounds); }};
+}
+
+/// A 0/1 switch.
+template <typename At>
+Key flag(At at) {
+  return Key{[at](SystemConfig& c, const std::string& v) {
+               if (v != "0" && v != "1") return false;
+               at(c) = v == "1";
+               return true;
+             },
+             [at](const SystemConfig& c) {
+               return std::string(at(c) ? "1" : "0");
+             },
+             [] { return std::string("0 or 1"); }};
 }
 
 const std::map<std::string, Key>& registry() {
   static const std::map<std::string, Key> keys = [] {
     std::map<std::string, Key> k;
-    k["cores"] = numeric<unsigned>(&SystemConfig::cores);
-    k["ghz"] = numeric<double>(&SystemConfig::ghz);
+    // Lower bounds keep every single-field value the model can run: a
+    // size, way, MSHR, queue, rank, bank, channel, width or drain-rate of 0
+    // divides by zero, trips an invariant or never drains. Fractions stay
+    // in [0, 1]; the other double knobs are capped so the cycle counts
+    // derived from them stay in range.
+    k["cores"] = number(field(&SystemConfig::cores), {1});
+    k["ghz"] = number(field(&SystemConfig::ghz), {0.0, 1000.0, true});
     k["mechanism"] = Key{
         [](SystemConfig& c, const std::string& v) {
           return parse_mechanism(v, c.mechanism);
@@ -85,15 +122,7 @@ const std::map<std::string, Key>& registry() {
           return "known mechanisms: " +
                  persist::DomainRegistry::instance().known_names();
         }};
-    k["track_recovery"] = Key{
-        [](SystemConfig& c, const std::string& v) {
-          if (v != "0" && v != "1") return false;
-          c.track_recovery_state = v == "1";
-          return true;
-        },
-        [](const SystemConfig& c) {
-          return std::string(c.track_recovery_state ? "1" : "0");
-        }};
+    k["track_recovery"] = flag(field(&SystemConfig::track_recovery_state));
     k["check"] = Key{
         [](SystemConfig& c, const std::string& v) {
           return parse_check_mode(v, c.check);
@@ -101,79 +130,26 @@ const std::map<std::string, Key>& registry() {
         [](const SystemConfig& c) { return std::string(to_string(c.check)); },
         [] { return std::string("one of: off, collect, fatal"); }};
 
-    k["topo.nodes"] = Key{
-        [](SystemConfig& c, const std::string& v) {
-          std::istringstream iss(v);
-          unsigned parsed{};
-          iss >> parsed;
-          if (iss.fail() || parsed == 0) return false;
-          c.topo.nodes = parsed;
-          return true;
-        },
-        [](const SystemConfig& c) { return std::to_string(c.topo.nodes); },
-        [] { return std::string("a positive node count"); }};
-    k["topo.hop_ns"] = Key{
-        [](SystemConfig& c, const std::string& v) {
-          std::istringstream iss(v);
-          double parsed{};
-          iss >> parsed;
-          if (iss.fail() || parsed < 0.0) return false;
-          c.topo.hop_ns = parsed;
-          return true;
-        },
-        [](const SystemConfig& c) {
-          std::ostringstream oss;
-          oss << c.topo.hop_ns;
-          return oss.str();
-        }};
-    k["topo.link_gbps"] = Key{
-        [](SystemConfig& c, const std::string& v) {
-          std::istringstream iss(v);
-          double parsed{};
-          iss >> parsed;
-          if (iss.fail() || parsed <= 0.0) return false;
-          c.topo.link_gbps = parsed;
-          return true;
-        },
-        [](const SystemConfig& c) {
-          std::ostringstream oss;
-          oss << c.topo.link_gbps;
-          return oss.str();
-        }};
-    k["topo.msg_bytes"] = Key{
-        [](SystemConfig& c, const std::string& v) {
-          std::istringstream iss(v);
-          unsigned parsed{};
-          iss >> parsed;
-          if (iss.fail() || parsed == 0) return false;
-          c.topo.msg_bytes = parsed;
-          return true;
-        },
-        [](const SystemConfig& c) { return std::to_string(c.topo.msg_bytes); }};
+    k["topo.nodes"] =
+        number(field(&SystemConfig::topo, &TopoConfig::nodes), {1});
+    k["topo.hop_ns"] =
+        number(field(&SystemConfig::topo, &TopoConfig::hop_ns), {0.0, 1e9});
+    k["topo.link_gbps"] = number(
+        field(&SystemConfig::topo, &TopoConfig::link_gbps), {0.0, 1e6, true});
+    k["topo.msg_bytes"] =
+        number(field(&SystemConfig::topo, &TopoConfig::msg_bytes), {1});
 
-    auto skip_bool = [](bool SkipConfig::* field) {
-      return Key{
-          [field](SystemConfig& c, const std::string& v) {
-            if (v != "0" && v != "1") return false;
-            c.skip.*field = v == "1";
-            return true;
-          },
-          [field](const SystemConfig& c) {
-            return std::string(c.skip.*field ? "1" : "0");
-          },
-          [] { return std::string("0 or 1"); }};
-    };
-    k["skip.enabled"] = skip_bool(&SkipConfig::enabled);
-    k["skip.verify"] = skip_bool(&SkipConfig::verify);
+    k["skip.enabled"] = flag(field(&SystemConfig::skip, &SkipConfig::enabled));
+    k["skip.verify"] = flag(field(&SystemConfig::skip, &SkipConfig::verify));
 
     auto cache_keys = [&k](const std::string& prefix,
-                           CacheConfig SystemConfig::* level) {
+                           CacheConfig NodeConfig::* level) {
       k[prefix + ".size_kb"] =
-          nested<std::uint64_t>(level, &CacheConfig::size_bytes, 1024);
-      k[prefix + ".ways"] = nested<unsigned>(level, &CacheConfig::ways);
+          number(field(level, &CacheConfig::size_bytes), {1}, 1024);
+      k[prefix + ".ways"] = number(field(level, &CacheConfig::ways), {1});
       k[prefix + ".latency"] =
-          nested<unsigned>(level, &CacheConfig::latency_cycles);
-      k[prefix + ".mshrs"] = nested<unsigned>(level, &CacheConfig::mshrs);
+          number(field(level, &CacheConfig::latency_cycles), {});
+      k[prefix + ".mshrs"] = number(field(level, &CacheConfig::mshrs), {1});
       k[prefix + ".replacement"] = Key{
           [level](SystemConfig& c, const std::string& v) {
             if (v == "lru") {
@@ -196,83 +172,71 @@ const std::map<std::string, Key>& registry() {
     cache_keys("llc", &SystemConfig::llc);
 
     k["core.issue_width"] =
-        nested<unsigned>(&SystemConfig::core, &CoreConfig::issue_width);
+        number(field(&SystemConfig::core, &CoreConfig::issue_width), {1});
     k["core.rob"] =
-        nested<unsigned>(&SystemConfig::core, &CoreConfig::rob_entries);
-    k["core.store_buffer"] = nested<unsigned>(
-        &SystemConfig::core, &CoreConfig::store_buffer_entries);
+        number(field(&SystemConfig::core, &CoreConfig::rob_entries), {1});
+    k["core.store_buffer"] = number(
+        field(&SystemConfig::core, &CoreConfig::store_buffer_entries), {1});
 
+    // The NTC needs at least two entries of kLineBytes.
     k["ntc.size_bytes"] =
-        nested<std::uint64_t>(&SystemConfig::ntc, &TxCacheConfig::size_bytes);
+        number(field(&SystemConfig::ntc, &TxCacheConfig::size_bytes),
+               {2 * kLineBytes});
     k["ntc.latency"] =
-        nested<unsigned>(&SystemConfig::ntc, &TxCacheConfig::latency_cycles);
-    k["ntc.threshold"] = nested<double>(&SystemConfig::ntc,
-                                        &TxCacheConfig::overflow_threshold);
-    k["ntc.drain_per_cycle"] =
-        nested<unsigned>(&SystemConfig::ntc, &TxCacheConfig::drain_per_cycle);
+        number(field(&SystemConfig::ntc, &TxCacheConfig::latency_cycles), {});
+    k["ntc.threshold"] = number(
+        field(&SystemConfig::ntc, &TxCacheConfig::overflow_threshold),
+        {0.0, 1.0});
+    k["ntc.drain_per_cycle"] = number(
+        field(&SystemConfig::ntc, &TxCacheConfig::drain_per_cycle), {1});
 
-    auto bool_key = [](bool ServiceConfig::* field) {
-      return Key{
-          [field](SystemConfig& c, const std::string& v) {
-            if (v != "0" && v != "1") return false;
-            c.service.*field = v == "1";
-            return true;
-          },
-          [field](const SystemConfig& c) {
-            return std::string(c.service.*field ? "1" : "0");
-          },
-          [] { return std::string("0 or 1"); }};
-    };
-    k["serve.enabled"] = bool_key(&ServiceConfig::enabled);
-    k["serve.open_loop"] = bool_key(&ServiceConfig::open_loop);
-    k["serve.poisson"] = bool_key(&ServiceConfig::poisson);
+    k["serve.enabled"] =
+        flag(field(&SystemConfig::service, &ServiceConfig::enabled));
+    k["serve.open_loop"] =
+        flag(field(&SystemConfig::service, &ServiceConfig::open_loop));
+    k["serve.poisson"] =
+        flag(field(&SystemConfig::service, &ServiceConfig::poisson));
+    // At most one request per cycle per core.
     k["serve.rate"] =
-        nested<double>(&SystemConfig::service, &ServiceConfig::rate);
+        number(field(&SystemConfig::service, &ServiceConfig::rate),
+               {0.0, 1000.0, true});
     k["serve.requests"] =
-        nested<std::uint64_t>(&SystemConfig::service, &ServiceConfig::requests);
+        number(field(&SystemConfig::service, &ServiceConfig::requests), {});
 
     k["crash.points"] =
-        nested<std::uint64_t>(&SystemConfig::crash, &CrashCampaignConfig::points);
+        number(field(&SystemConfig::crash, &CrashCampaignConfig::points), {});
     k["crash.seeds"] =
-        nested<unsigned>(&SystemConfig::crash, &CrashCampaignConfig::seeds);
+        number(field(&SystemConfig::crash, &CrashCampaignConfig::seeds), {});
     k["crash.ops"] =
-        nested<std::uint64_t>(&SystemConfig::crash, &CrashCampaignConfig::ops);
+        number(field(&SystemConfig::crash, &CrashCampaignConfig::ops), {});
     k["crash.setup"] =
-        nested<std::uint64_t>(&SystemConfig::crash, &CrashCampaignConfig::setup);
-    k["crash.minimize"] = Key{
-        [](SystemConfig& c, const std::string& v) {
-          if (v != "0" && v != "1") return false;
-          c.crash.minimize = v == "1";
-          return true;
-        },
-        [](const SystemConfig& c) {
-          return std::string(c.crash.minimize ? "1" : "0");
-        },
-        [] { return std::string("0 or 1"); }};
+        number(field(&SystemConfig::crash, &CrashCampaignConfig::setup), {1});
+    k["crash.minimize"] =
+        flag(field(&SystemConfig::crash, &CrashCampaignConfig::minimize));
 
     auto mc_keys = [&k](const std::string& prefix,
-                        MemCtrlConfig SystemConfig::* mc) {
+                        MemCtrlConfig NodeConfig::* mc) {
       k[prefix + ".read_queue"] =
-          nested<unsigned>(mc, &MemCtrlConfig::read_queue);
+          number(field(mc, &MemCtrlConfig::read_queue), {1});
       k[prefix + ".write_queue"] =
-          nested<unsigned>(mc, &MemCtrlConfig::write_queue);
+          number(field(mc, &MemCtrlConfig::write_queue), {1});
       k[prefix + ".drain_high"] =
-          nested<double>(mc, &MemCtrlConfig::drain_high_watermark);
+          number(field(mc, &MemCtrlConfig::drain_high_watermark), {0.0, 1.0});
       k[prefix + ".drain_low"] =
-          nested<double>(mc, &MemCtrlConfig::drain_low_watermark);
-      k[prefix + ".ranks"] = nested<unsigned>(mc, &MemCtrlConfig::ranks);
+          number(field(mc, &MemCtrlConfig::drain_low_watermark), {0.0, 1.0});
+      k[prefix + ".ranks"] = number(field(mc, &MemCtrlConfig::ranks), {1});
       k[prefix + ".banks"] =
-          nested<unsigned>(mc, &MemCtrlConfig::banks_per_rank);
+          number(field(mc, &MemCtrlConfig::banks_per_rank), {1});
       k[prefix + ".channels"] =
-          nested<unsigned>(mc, &MemCtrlConfig::channels);
+          number(field(mc, &MemCtrlConfig::channels), {1});
       k[prefix + ".bus_latency"] =
-          nested<unsigned>(mc, &MemCtrlConfig::bus_latency);
+          number(field(mc, &MemCtrlConfig::bus_latency), {});
       k[prefix + ".refresh_interval"] =
-          nested<Cycle>(mc, &MemCtrlConfig::refresh_interval);
+          number(field(mc, &MemCtrlConfig::refresh_interval), {});
       k[prefix + ".refresh_cycles"] =
-          nested<Cycle>(mc, &MemCtrlConfig::refresh_cycles);
-      k[prefix + ".tfaw"] = nested<Cycle>(mc, &MemCtrlConfig::tfaw);
-      k[prefix + ".twtr"] = nested<Cycle>(mc, &MemCtrlConfig::twtr);
+          number(field(mc, &MemCtrlConfig::refresh_cycles), {});
+      k[prefix + ".tfaw"] = number(field(mc, &MemCtrlConfig::tfaw), {});
+      k[prefix + ".twtr"] = number(field(mc, &MemCtrlConfig::twtr), {});
     };
     mc_keys("nvm", &SystemConfig::nvm);
     mc_keys("dram", &SystemConfig::dram);
@@ -282,6 +246,48 @@ const std::map<std::string, Key>& registry() {
 }
 
 }  // namespace
+
+template <typename T>
+std::string parse_number(std::string_view what, std::string_view text,
+                         const Bounds<T>& bounds, T& out) {
+  T v{};
+  const char* const end = text.data() + text.size();
+  // from_chars takes no sign for unsigned types, no leading '+' or
+  // whitespace, and for integers no fraction or exponent; it reports
+  // values that do not fit T instead of wrapping them.
+  const auto r = std::from_chars(text.data(), end, v);
+  bool ok = r.ec == std::errc() && r.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  ok = ok && v <= bounds.max &&
+       (bounds.above_min ? v > bounds.min : v >= bounds.min);
+  if (!ok) {
+    return std::string(what) + ": invalid value \"" + std::string(text) +
+           "\"; expected " + describe(bounds);
+  }
+  out = v;
+  return {};
+}
+
+template <typename T>
+void parse_env_number(const char* name, const Bounds<T>& bounds, T& out) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return;
+  const std::string error = parse_number(name, env, bounds, out);
+  if (error.empty()) return;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  std::exit(1);
+}
+
+template std::string parse_number(std::string_view, std::string_view,
+                                  const Bounds<unsigned>&, unsigned&);
+template std::string parse_number(std::string_view, std::string_view,
+                                  const Bounds<std::uint64_t>&,
+                                  std::uint64_t&);
+template std::string parse_number(std::string_view, std::string_view,
+                                  const Bounds<double>&, double&);
+template void parse_env_number(const char*, const Bounds<unsigned>&,
+                               unsigned&);
+template void parse_env_number(const char*, const Bounds<double>&, double&);
 
 bool parse_mechanism(const std::string& name, Mechanism& out) {
   return persist::DomainRegistry::instance().parse(name, out);

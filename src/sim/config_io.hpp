@@ -1,7 +1,8 @@
 // Textual configuration for the simulator: a small INI-style `key = value`
 // format covering the knobs an experimenter actually sweeps, so machines
 // can be described in files instead of recompiled code. `#` starts a
-// comment; unknown keys are hard errors (silent typos corrupt experiments).
+// comment; unknown keys are hard errors (silent typos corrupt experiments),
+// and so are out-of-range values: each numeric key carries its bounds.
 //
 //   mechanism      = tc            # any registered domain; see
 //                                  # `ntcsim --list-mechanisms`
@@ -23,11 +24,37 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "common/config.hpp"
 
 namespace ntcsim::sim {
+
+/// Accepted range of a number: [min, max], or (min, max] with `above_min`.
+template <typename T>
+struct Bounds {
+  T min{};
+  T max = std::numeric_limits<T>::max();
+  bool above_min = false;
+};
+
+/// The one numeric parser behind every config key, ntcsim value flag,
+/// bench argument and NTCSIM_SCALE / NTCSIM_JOBS. The whole of `text` must
+/// parse, be finite, lie within `bounds` and fit T: integer types
+/// (unsigned, std::uint64_t) take plain digits only, so no parsed double
+/// is cast into an integer field and no negative value wraps. Returns ""
+/// and sets `out`, or a one-line error naming `what`:
+/// `--jobs: invalid value "abc"; expected an integer from 0 to 4294967295`.
+template <typename T>
+std::string parse_number(std::string_view what, std::string_view text,
+                         const Bounds<T>& bounds, T& out);
+
+/// Environment variable `name` through parse_number: unset leaves `out`
+/// alone; a malformed value prints the error and exits 1.
+template <typename T>
+void parse_env_number(const char* name, const Bounds<T>& bounds, T& out);
 
 struct ConfigParseResult {
   bool ok = true;

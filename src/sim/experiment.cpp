@@ -1,20 +1,28 @@
 #include "sim/experiment.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-
-#include <chrono>
 
 #include "common/assert.hpp"
 #include "common/table.hpp"
 #include "persist/domain.hpp"
-#include "recovery/journal.hpp"
+#include "sim/config_io.hpp"
 #include "sim/profiler.hpp"
 #include "sim/sweep.hpp"
 #include "workload/service.hpp"
 
 namespace ntcsim::sim {
+
+namespace {
+
+/// --scale / NTCSIM_SCALE: a positive factor on op counts, capped so the
+/// scaled counts stay representable. --jobs / NTCSIM_JOBS: 0 = auto.
+constexpr Bounds<double> kScaleBounds{0.0, 1000.0, true};
+constexpr Bounds<unsigned> kJobsBounds{};
+
+}  // namespace
 
 std::vector<Mechanism> matrix_mechanisms() {
   return persist::DomainRegistry::instance().matrix_mechanisms();
@@ -24,17 +32,90 @@ std::string_view mechanism_label(Mechanism mech) {
   return persist::DomainRegistry::instance().display_name(mech);
 }
 
-Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
-                 const ExperimentOptions& opts) {
-  SystemConfig cfg = base;
-  cfg.mechanism = mech;
-  cfg.track_recovery_state =
-      opts.track_recovery ||
-      persist::policy_for(mech).needs_recovery_images;
-  // Even when the caller skips recovery *checking*, most mechanisms need
-  // the volatile/durable images to carry functional payloads (their
-  // recovery paths read them); Optimal does not.
+Cell::Cell(const SystemConfig& cfg, const workload::WorkloadParams& params,
+           recovery::Journal* journal)
+    // ntclint-suppress(determinism): self-profiling wall time, never simulated state
+    : start_(std::chrono::steady_clock::now()),
+      label_(std::string(mechanism_label(cfg.mechanism)) + "/" +
+             std::string(to_string(params.kind))),
+      cluster_(cfg) {
+  const unsigned nodes = cluster_.nodes();
+  // Per-node generation: each node is its own shard with its own heap and
+  // seed, so shards hold distinct data.
+  std::vector<std::vector<workload::TraceBundle>> bundles(nodes);
+  topo::RouteStats route;
+  {
+    NTC_PROF_SCOPE("cell.generate");
+    for (NodeId n = 0; n < nodes; ++n) {
+      workload::SimHeap heap(cfg.address_space, cfg.cores);
+      workload::WorkloadParams p = params;
+      p.seed = workload::node_seed(params.seed, n);
+      for (CoreId c = 0; c < cfg.cores; ++c) {
+        bundles[n].push_back(workload::generate_phased(
+            p, c, heap, n == 0 ? journal : nullptr));
+        // Open-loop service: stamp arrival cycles (relative to the
+        // measured phase's start; the core rebases them at bind time).
+        workload::stamp_service_arrivals(bundles[n].back().measured,
+                                         cfg.service, c, params.seed, n);
+      }
+    }
+    // Shard the request stream: pick each request's entry node and charge
+    // cross-shard traffic the interconnect round trip (stamp-time, so the
+    // cell stays a pure function of its inputs).
+    if (nodes > 1 && cfg.service.enabled && cfg.service.open_loop) {
+      std::vector<std::vector<core::Trace*>> measured(nodes);
+      for (NodeId n = 0; n < nodes; ++n) {
+        for (workload::TraceBundle& b : bundles[n]) {
+          measured[n].push_back(&b.measured);
+        }
+      }
+      route = topo::route_service_arrivals(measured, cfg.topo, cfg.ghz,
+                                           params.seed);
+    }
+  }
+  // Build the structures (warm caches/NTC/NVM), unmeasured; then start the
+  // measured epoch with the steady-state traces installed.
+  NTC_PROF_SCOPE("cell.setup");
+  for (NodeId n = 0; n < nodes; ++n) {
+    for (CoreId c = 0; c < cfg.cores; ++c) {
+      cluster_.load_trace(n, c, std::move(bundles[n][c].setup));
+    }
+  }
+  cluster_.run();
+  require_finished_("setup");
+  cluster_.reset_stats();
+  cluster_.note_route_stats(route);
+  for (NodeId n = 0; n < nodes; ++n) {
+    for (CoreId c = 0; c < cfg.cores; ++c) {
+      cluster_.load_trace(n, c, std::move(bundles[n][c].measured));
+    }
+  }
+}
 
+void Cell::require_finished_(const char* phase) const {
+  if (!cluster_.timed_out()) return;
+  throw std::runtime_error("cell " + label_ + " hit the cycle cap in the " +
+                           phase + " phase (deadlock or under-budgeted run)");
+}
+
+Metrics Cell::run() {
+  {
+    // The steady state the paper's figures report.
+    NTC_PROF_SCOPE("cell.measured");
+    cluster_.run();
+    require_finished_("measured");
+  }
+  if (Profiler::enabled()) {
+    // ntclint-suppress(determinism): self-profiling wall time, never simulated state
+    const auto end = std::chrono::steady_clock::now();
+    Profiler::add_cell(label_,
+                       std::chrono::duration<double>(end - start_).count());
+  }
+  return cluster_.metrics();
+}
+
+workload::WorkloadParams cell_params(WorkloadKind wl, const SystemConfig& cfg,
+                                     const ExperimentOptions& opts) {
   workload::WorkloadParams params = workload::default_params(wl);
   params.seed = opts.seed;
   params.ops = static_cast<std::size_t>(
@@ -47,84 +128,20 @@ Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
     // Service cells pin the request count explicitly; --scale untouched.
     params.ops = cfg.service.requests;
   }
+  return params;
+}
 
-  // ntclint-suppress(determinism): self-profiling wall time, never simulated state
-  const auto cell_start = std::chrono::steady_clock::now();
-  const unsigned nodes = std::max(1u, cfg.topo.nodes);
-  // Per-node generation: each node is its own shard with its own heap and
-  // a node-mixed workload seed, so shards hold distinct data. Node 0 uses
-  // params.seed untouched — single-node cells reproduce the pre-cluster
-  // traces bit-for-bit.
-  std::vector<std::vector<workload::TraceBundle>> bundles(nodes);
-  {
-    NTC_PROF_SCOPE("cell.generate");
-    for (NodeId n = 0; n < nodes; ++n) {
-      workload::SimHeap heap(cfg.address_space, cfg.cores);
-      workload::WorkloadParams p = params;
-      p.seed = params.seed + n * 0x9e3779b9ULL;
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        bundles[n].push_back(workload::generate_phased(p, c, heap, nullptr));
-        // Open-loop service: stamp arrival cycles (relative to the
-        // measured phase's start; the core rebases them at bind time).
-        workload::stamp_service_arrivals(bundles[n].back().measured,
-                                         cfg.service, c, params.seed, n);
-      }
-    }
-  }
-  // Shard the request stream: pick each request's entry node and charge
-  // cross-shard traffic the interconnect round trip (stamp-time, so the
-  // cell stays a pure function of its inputs).
-  topo::RouteStats route;
-  if (nodes > 1 && cfg.service.enabled && cfg.service.open_loop) {
-    std::vector<std::vector<core::Trace*>> measured(nodes);
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        measured[n].push_back(&bundles[n][c].measured);
-      }
-    }
-    route = topo::route_service_arrivals(measured, cfg.topo, cfg.ghz,
-                                         params.seed);
-  }
-  System sys(cfg);
-  auto require_finished = [&](const char* phase) {
-    if (!sys.timed_out()) return;
-    throw std::runtime_error(
-        std::string("cell ") + std::string(mechanism_label(mech)) + "/" +
-        std::string(to_string(wl)) + " hit the cycle cap in the " + phase +
-        " phase (deadlock or under-budgeted run)");
-  };
-  {
-    // Phase 1: build the structures (warm caches/NTC/NVM), unmeasured.
-    NTC_PROF_SCOPE("cell.setup");
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        sys.load_trace(n, c, std::move(bundles[n][c].setup));
-      }
-    }
-    sys.run();
-    require_finished("setup");
-  }
-  sys.reset_stats();
-  sys.note_route_stats(route);
-  {
-    // Phase 2: the steady state the paper's figures report.
-    NTC_PROF_SCOPE("cell.measured");
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        sys.load_trace(n, c, std::move(bundles[n][c].measured));
-      }
-    }
-    sys.run();
-    require_finished("measured");
-  }
-  if (Profiler::enabled()) {
-    // ntclint-suppress(determinism): self-profiling wall time, never simulated state
-    const auto cell_end = std::chrono::steady_clock::now();
-    Profiler::add_cell(
-        std::string(mechanism_label(mech)) + "/" + std::string(to_string(wl)),
-        std::chrono::duration<double>(cell_end - cell_start).count());
-  }
-  return sys.metrics();
+Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
+                 const ExperimentOptions& opts) {
+  SystemConfig cfg = base;
+  cfg.mechanism = mech;
+  // Even when the caller skips recovery *checking*, most mechanisms need
+  // the volatile/durable images to carry functional payloads (their
+  // recovery paths read them); Optimal does not.
+  cfg.track_recovery_state =
+      opts.track_recovery ||
+      persist::policy_for(mech).needs_recovery_images;
+  return Cell(cfg, cell_params(wl, cfg, opts)).run();
 }
 
 Matrix run_matrix(const SystemConfig& base, const ExperimentOptions& opts) {
@@ -196,39 +213,55 @@ void print_figure(std::ostream& os, const std::string& title,
   os << '\n';
 }
 
+void apply_env_knobs(ExperimentOptions& opts) {
+  parse_env_number("NTCSIM_SCALE", kScaleBounds, opts.scale);
+  if (opts.jobs == 0) parse_env_number("NTCSIM_JOBS", kJobsBounds, opts.jobs);
+}
+
+bool parse_harness_flag(int argc, char** argv, int& i, ExperimentOptions& opts,
+                        const char*& profile, std::string& error) {
+  const std::string a = argv[i];
+  // `--flag=value` or `--flag value`.
+  auto flag_value = [&](const char* flag) -> const char* {
+    const std::string eq = std::string(flag) + "=";
+    if (a.rfind(eq, 0) == 0) return argv[i] + eq.size();
+    if (a == flag && i + 1 < argc) return argv[++i];
+    return nullptr;
+  };
+  if (const char* jobs = flag_value("--jobs")) {
+    error = parse_number("--jobs", jobs, kJobsBounds, opts.jobs);
+  } else if (const char* scale = flag_value("--scale")) {
+    error = parse_number("--scale", scale, kScaleBounds, opts.scale);
+  } else if (a == "--profile") {
+    profile = "BENCH_selfperf.json";
+  } else if (a.rfind("--profile=", 0) == 0) {
+    profile = argv[i] + 10;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 ExperimentOptions parse_bench_args(int argc, char** argv) {
   ExperimentOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    // Flags take `--flag=value` or `--flag value`.
-    auto flag_value = [&](const char* flag) -> const char* {
-      const std::string eq = std::string(flag) + "=";
-      if (a.rfind(eq, 0) == 0) return argv[i] + eq.size();
-      if (a == flag && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = flag_value("--jobs")) {
-      const long n = std::atol(v);
-      if (n > 0) opts.jobs = static_cast<unsigned>(n);
-    } else if (const char* v = flag_value("--scale")) {
-      const double s = std::atof(v);
-      if (s > 0.0) opts.scale = s;
-    } else if (a == "--profile") {
-      opts.profile = true;
-    } else if (a.rfind("--profile=", 0) == 0) {
-      opts.profile = true;
-      opts.profile_out = a.substr(10);
-    } else if (a.rfind("--", 0) != 0) {
-      const double s = std::atof(a.c_str());
-      if (s > 0.0) opts.scale = s;
+  const char* profile = nullptr;
+  bool positional = false;
+  std::string error;
+  for (int i = 1; i < argc && error.empty(); ++i) {
+    if (parse_harness_flag(argc, argv, i, opts, profile, error)) continue;
+    if (std::string_view(argv[i]).rfind("--", 0) != 0 && !positional) {
+      positional = true;
+      error = parse_number("scale", argv[i], kScaleBounds, opts.scale);
+    } else {
+      error = "unknown argument \"" + std::string(argv[i]) + "\"";
     }
   }
-  if (const char* env = std::getenv("NTCSIM_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) opts.scale = s;
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    std::exit(1);
   }
-  // opts.jobs == 0 ("auto") defers to NTCSIM_JOBS / hardware_concurrency
-  // inside default_jobs(), so the flag wins over the environment.
+  apply_env_knobs(opts);
+  if (profile != nullptr) profile_until_exit(profile);
   return opts;
 }
 

@@ -1,8 +1,9 @@
-// Experiment runner used by the bench harness: builds the mechanism x
-// workload matrix of the paper's §5 and provides the normalization and
-// printing helpers the figures need.
+// Experiment runner used by the bench harness: the one cell pipeline
+// (sim::Cell), the mechanism x workload matrix of the paper's §5 built
+// from it, and the normalization and printing helpers the figures need.
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <ostream>
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "recovery/journal.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
 #include "workload/workloads.hpp"
@@ -45,14 +47,42 @@ struct ExperimentOptions {
   /// Worker threads for run_matrix / run_sweep. 0 = auto (NTCSIM_JOBS or
   /// hardware_concurrency, see sweep.hpp); 1 = the serial path.
   unsigned jobs = 0;
-  /// Self-profiling (`--profile[=FILE]`): time the simulator's own phases
-  /// and emit a machine-readable report when the sweep finishes. Purely
-  /// observational — simulated metrics are unaffected.
-  bool profile = false;
-  std::string profile_out = "BENCH_selfperf.json";
 };
 
-/// One cell of the evaluation matrix.
+/// One experiment cell under the paper's measurement protocol (DESIGN.md
+/// "Measurement protocol"); every driver that warms up before measuring
+/// goes through here.
+class Cell {
+ public:
+  /// Generates each node's per-core traces (seeds from workload::node_seed;
+  /// `journal`, if given, records node 0), stamps and routes service
+  /// arrivals, runs the setup phase, resets stats and installs the measured
+  /// traces. Throws std::runtime_error if setup hits the cycle cap.
+  Cell(const SystemConfig& cfg, const workload::WorkloadParams& params,
+       recovery::Journal* journal = nullptr);
+
+  /// Runs the measured phase; throws std::runtime_error on the cycle cap.
+  Metrics run();
+
+  /// The live cluster, for callers that drive the measured phase themselves
+  /// (crash injection, timeline sampling) or inspect it afterwards.
+  Cluster& cluster() { return cluster_; }
+
+ private:
+  void require_finished_(const char* phase) const;
+
+  // ntclint-suppress(determinism): self-profiling wall time, never simulated state
+  std::chrono::steady_clock::time_point start_;
+  std::string label_;  ///< "mechanism/workload", for errors and the profiler
+  Cluster cluster_;
+};
+
+/// The workload's defaults with opts.seed and ops / setup size scaled by
+/// opts (at least 1 each); a service request count pins the ops.
+workload::WorkloadParams cell_params(WorkloadKind wl, const SystemConfig& cfg,
+                                     const ExperimentOptions& opts);
+
+/// One cell of the evaluation matrix: a Cell of cell_params on `base`.
 Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
                  const ExperimentOptions& opts = {});
 
@@ -69,11 +99,19 @@ void print_figure(std::ostream& os, const std::string& title,
                   const Matrix& matrix, double (*metric)(const Metrics&),
                   const std::string& caption);
 
-/// Parse bench argv: optional positional scale factor, `--scale=X` (or
-/// `--scale X`), `--jobs=N`/`--jobs N` (worker threads; NTCSIM_JOBS is the
-/// env equivalent, the flag wins), and `--profile[=FILE]` (self-perf
-/// report, default BENCH_selfperf.json). NTCSIM_SCALE overrides any argv
-/// scale.
+/// The shared environment knobs (a malformed value exits 1): NTCSIM_SCALE
+/// replaces opts.scale, NTCSIM_JOBS fills opts.jobs unless a flag set it.
+void apply_env_knobs(ExperimentOptions& opts);
+
+/// Consumes argv[i] if it is a flag ntcsim and the benches share:
+/// `--scale=X`, `--jobs=N` (both also spaced) or `--profile[=FILE]`, which
+/// sets `profile`. False for anything else; a bad value sets `error`.
+bool parse_harness_flag(int argc, char** argv, int& i, ExperimentOptions& opts,
+                        const char*& profile, std::string& error);
+
+/// Bench argv: an optional positional scale, then parse_harness_flag's
+/// flags; the environment knobs are applied last and `--profile` writes
+/// its report at exit. Anything else prints one line and exits 1.
 ExperimentOptions parse_bench_args(int argc, char** argv);
 
 double geometric_mean(const std::vector<double>& v);

@@ -12,8 +12,7 @@
 namespace ntcsim::sim {
 
 Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
-           EventQueue& events, const Cycle* clock, SystemOptions opts,
-           persist::KilnConfig kiln_cfg)
+           EventQueue& events, const Cycle* clock, SystemOptions opts)
     : cfg_(cfg),
       id_(id),
       opts_(opts),
@@ -55,7 +54,7 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
 
   if (policy_.flush_on_commit) {
     kiln_ = std::make_unique<persist::KilnUnit>(
-        cfg_.cores, kiln_cfg, *hier_, events, durable_.get(), stats_);
+        cfg_.cores, cfg_.kiln, *hier_, events, durable_.get(), stats_);
     hier_->hooks().kiln_pin_query = [this](CoreId core, Addr line) {
       return kiln_->pin_query(core, line);
     };

@@ -67,8 +67,7 @@ class Node {
   /// `events` and `clock` belong to the owning Cluster; `clock` must stay
   /// valid for the node's lifetime (the checker stamps cycles through it).
   Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
-       EventQueue& events, const Cycle* clock, SystemOptions opts,
-       persist::KilnConfig kiln_cfg);
+       EventQueue& events, const Cycle* clock, SystemOptions opts);
 
   /// Install a workload trace on one core. Applies the SP transform when
   /// the configured domain asks for software logging.

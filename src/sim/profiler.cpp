@@ -6,6 +6,7 @@
 #include <fstream>
 #include <mutex>
 #include <ostream>
+#include <utility>
 
 namespace ntcsim::sim {
 
@@ -105,6 +106,12 @@ ProfileSession::~ProfileSession() {
   std::ofstream f(path_);
   if (f) write_selfperf_json(f, wall);
   active_.store(false);
+}
+
+void profile_until_exit(std::string out_path) {
+  // A function-local static: constructed after the registry it reports
+  // on (its constructor resets the registry), so destroyed before it.
+  static ProfileSession session(std::move(out_path));
 }
 
 namespace {

@@ -154,6 +154,11 @@ class ProfileSession {
   static std::atomic<bool> active_;
 };
 
+/// Profile the rest of the process: the first call opens a ProfileSession
+/// that lives until exit and writes its report to `out_path` then; later
+/// calls do nothing. ntcsim and parse_bench_args open theirs here.
+void profile_until_exit(std::string out_path);
+
 /// Serialize the current profiler state (phases + cell times + totals) as
 /// JSON. `wall_seconds` is the whole-session wall clock.
 void write_selfperf_json(std::ostream& os, double wall_seconds);

@@ -1,21 +1,18 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 
-#include "sim/profiler.hpp"
+#include "sim/config_io.hpp"
 
 namespace ntcsim::sim {
 
 unsigned default_jobs() {
-  if (const char* env = std::getenv("NTCSIM_JOBS")) {
-    const long n = std::atol(env);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
+  unsigned n = 0;
+  parse_env_number("NTCSIM_JOBS", Bounds<unsigned>{}, n);
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -65,16 +62,6 @@ void parallel_for(std::size_t count, unsigned jobs,
 
 std::vector<Metrics> run_sweep(const std::vector<JobSpec>& specs,
                                unsigned jobs) {
-  // Honor --profile from the specs (run_matrix copies one options struct
-  // into every spec). A session already opened by an outer caller — e.g.
-  // the ntcsim driver — wins; this inner one is then inert.
-  std::unique_ptr<ProfileSession> session;
-  for (const JobSpec& s : specs) {
-    if (s.opts.profile) {
-      session = std::make_unique<ProfileSession>(s.opts.profile_out);
-      break;
-    }
-  }
   return run_jobs(specs.size(), jobs, [&](std::size_t i) {
     const JobSpec& s = specs[i];
     return run_cell(s.mech, s.wl, s.cfg, s.opts);

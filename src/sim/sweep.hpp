@@ -21,7 +21,8 @@ namespace ntcsim::sim {
 
 /// Worker-thread count used when the caller passes jobs == 0 ("auto"):
 /// the NTCSIM_JOBS environment variable if set to a positive integer,
-/// otherwise std::thread::hardware_concurrency(), never less than 1.
+/// otherwise std::thread::hardware_concurrency(), never less than 1. A
+/// malformed NTCSIM_JOBS exits 1 (see parse_env_number).
 unsigned default_jobs();
 
 /// Run fn(0) .. fn(count - 1) on up to `jobs` worker threads (0 = auto via

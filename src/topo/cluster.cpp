@@ -8,14 +8,11 @@
 
 namespace ntcsim::sim {
 
-Cluster::Cluster(const SystemConfig& cfg, SystemOptions opts,
-                 persist::KilnConfig kiln_cfg)
-    : cfg_(cfg) {
+Cluster::Cluster(const SystemConfig& cfg, SystemOptions opts) : cfg_(cfg) {
   const unsigned n = std::max(1u, cfg_.topo.nodes);
   nodes_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<Node>(cfg_, i, n, events_, &now_, opts,
-                                            kiln_cfg));
+    nodes_.push_back(std::make_unique<Node>(cfg_, i, n, events_, &now_, opts));
   }
   // Skip accounting lives on node 0's StatSet, like the cluster's other
   // shared state; resolved once here (the PR 2 handle pattern).

@@ -37,8 +37,7 @@ constexpr const char* to_string(RunStatus s) {
 
 class Cluster {
  public:
-  explicit Cluster(const SystemConfig& cfg, SystemOptions opts = {},
-                   persist::KilnConfig kiln_cfg = {});
+  explicit Cluster(const SystemConfig& cfg, SystemOptions opts = {});
   /// Flushes the skip/tick totals into the self-profiler so `--profile`
   /// can report the whole-process skip ratio.
   ~Cluster();

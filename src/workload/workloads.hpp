@@ -39,6 +39,13 @@ struct WorkloadParams {
   std::uint64_t seed = 1;
 };
 
+/// Workload seed of one cluster node's shard: golden-ratio mixing gives
+/// every node distinct data, and node 0 keeps `seed` itself, so single-node
+/// cells reproduce the pre-cluster traces bit for bit.
+constexpr std::uint64_t node_seed(std::uint64_t seed, NodeId node) {
+  return seed + node * 0x9e3779b9ULL;
+}
+
 /// Paper-shaped defaults per workload (footprints sized for the
 /// pressure-scaled experiment LLC; see EXPERIMENTS.md).
 WorkloadParams default_params(WorkloadKind kind);

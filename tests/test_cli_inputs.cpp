@@ -1,0 +1,259 @@
+// End-to-end input handling of the real binaries: every config key, every
+// numeric ntcsim flag, the NTCSIM_SCALE / NTCSIM_JOBS variables and a bench
+// binary's arguments get junk, a negative, zero and an overflow. Each case
+// must exit 1 with exactly one line on stderr — or, for a zero the input
+// accepts, run a tiny cell and exit 0. Nothing may die on a signal or run
+// into the timeout. Also checks that --profile writes its report from a
+// single ntcsim cell and from a bench binary.
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <csignal>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr unsigned kTimeoutSeconds = 10;
+
+const char* const kBadValues[] = {"abc", "4abc", "-1", "0",
+                                  "1e30", "99999999999999999999"};
+
+/// The cheap run an accepted zero must complete.
+const std::vector<std::string> kTinyCell = {
+    "--preset=tiny", "--workload=sps", "--ops=20", "--setup=100"};
+
+struct Outcome {
+  int exit_code = -1;  ///< -1 when the process died on a signal
+  int signal = 0;
+  std::string err;  ///< everything written to stderr
+  bool timed_out() const { return signal == SIGALRM; }
+};
+
+/// Working directory of the runs (crash sweeps and profiles write files),
+/// removed when the test process exits.
+const fs::path& scratch_dir() {
+  struct Dir {
+    fs::path path = fs::temp_directory_path() /
+                    ("ntcsim_cli_inputs_" + std::to_string(::getpid()));
+    Dir() { fs::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+std::string read_file(const fs::path& p) {
+  std::ifstream f(p);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// Run `argv` in a scratch directory with the NTCSIM_* variables cleared
+/// and `env` set, stdout discarded and stderr captured. The child arms an
+/// alarm before exec, so a hang ends in SIGALRM.
+Outcome run(const std::vector<std::string>& argv,
+            const std::vector<std::pair<std::string, std::string>>& env = {}) {
+  const fs::path& dir = scratch_dir();
+  const fs::path err_path = dir / "stderr.txt";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    for (const char* var : {"NTCSIM_JOBS", "NTCSIM_SCALE", "NTCSIM_CHECK"}) {
+      ::unsetenv(var);
+    }
+    for (const auto& [k, v] : env) ::setenv(k.c_str(), v.c_str(), 1);
+    const int out = ::open("/dev/null", O_WRONLY);
+    const int err =
+        ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (out < 0 || err < 0 || ::chdir(dir.c_str()) != 0) ::_exit(127);
+    ::dup2(out, STDOUT_FILENO);
+    ::dup2(err, STDERR_FILENO);
+    std::vector<char*> args;
+    for (const std::string& a : argv) {
+      args.push_back(const_cast<char*>(a.c_str()));
+    }
+    args.push_back(nullptr);
+    ::alarm(kTimeoutSeconds);
+    ::execv(args[0], args.data());
+    ::_exit(127);
+  }
+  Outcome o;
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  if (WIFEXITED(status)) o.exit_code = WEXITSTATUS(status);
+  if (WIFSIGNALED(status)) o.signal = WTERMSIG(status);
+  o.err = read_file(err_path);
+  return o;
+}
+
+std::size_t line_count(const std::string& s) {
+  return static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n')) +
+         (!s.empty() && s.back() != '\n' ? 1 : 0);
+}
+
+/// "" when `o` is a clean rejection (exit 1, one stderr line) or, if
+/// `zero_may_run`, a completed run; otherwise what went wrong.
+std::string verdict(const Outcome& o, bool zero_may_run) {
+  if (o.timed_out()) return "timed out";
+  if (o.signal != 0) return "killed by signal " + std::to_string(o.signal);
+  if (zero_may_run && o.exit_code == 0) return "";
+  if (o.exit_code != 1) return "exit code " + std::to_string(o.exit_code);
+  if (line_count(o.err) != 1) {
+    return std::to_string(line_count(o.err)) + " stderr lines";
+  }
+  return "";
+}
+
+/// Collects one failure line per bad case so a single test reports all of
+/// them at once.
+class Cases {
+ public:
+  void check(const std::string& what, const Outcome& o, bool zero_may_run) {
+    ++count_;
+    const std::string v = verdict(o, zero_may_run);
+    if (!v.empty()) failures_ += "  " + what + ": " + v + "\n" + o.err;
+  }
+  void expect_clean() const {
+    EXPECT_GT(count_, 0u);
+    EXPECT_TRUE(failures_.empty()) << failures_;
+  }
+
+ private:
+  std::size_t count_ = 0;
+  std::string failures_;
+};
+
+std::vector<std::string> with(std::vector<std::string> args,
+                              const std::vector<std::string>& extra) {
+  args.insert(args.end(), extra.begin(), extra.end());
+  return args;
+}
+
+TEST(BadInput, EveryConfigKey) {
+  // The key list comes from the binary, so new keys are covered as added.
+  const fs::path dump = scratch_dir() / "dump.txt";
+  ASSERT_EQ(std::system((std::string(NTC_NTCSIM_BIN) + " --dump-config > " +
+                         dump.string()).c_str()),
+            0);
+  std::ifstream f(dump);
+  std::vector<std::string> keys;
+  for (std::string line; std::getline(f, line);) {
+    keys.push_back(line.substr(0, line.find(' ')));
+  }
+  ASSERT_GT(keys.size(), 50u);
+  Cases cases;
+  for (const std::string& key : keys) {
+    for (const char* value : kBadValues) {
+      const std::string set = key + "=" + value;
+      cases.check("--set " + set,
+                  run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--set", set}))),
+                  std::string(value) == "0");
+    }
+  }
+  cases.expect_clean();
+}
+
+TEST(BadInput, EveryNumericFlag) {
+  Cases cases;
+  for (const char* flag :
+       {"--ops", "--setup", "--lookup", "--seed", "--crash-at",
+        "--crash-points", "--rate", "--requests", "--nodes", "--jobs",
+        "--scale"}) {
+    for (const char* value : kBadValues) {
+      const std::string arg = std::string(flag) + "=" + value;
+      cases.check(arg, run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {arg}))),
+                  std::string(value) == "0");
+    }
+  }
+  // The spaced spellings and the one bounded percentage.
+  for (const char* flag : {"--jobs", "--scale"}) {
+    for (const char* value : kBadValues) {
+      cases.check(std::string(flag) + " " + value,
+                  run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {flag, value}))),
+                  std::string(value) == "0");
+    }
+  }
+  cases.check("--lookup=101",
+              run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--lookup=101"}))),
+              false);
+  cases.expect_clean();
+}
+
+TEST(BadInput, EnvironmentVariables) {
+  Cases cases;
+  for (const char* var : {"NTCSIM_JOBS", "NTCSIM_SCALE"}) {
+    for (const char* value : kBadValues) {
+      const bool zero = std::string(value) == "0";
+      const std::string what = std::string(var) + "=" + value;
+      cases.check("ntcsim " + what,
+                  run(with({NTC_NTCSIM_BIN}, kTinyCell), {{var, value}}),
+                  zero);
+      cases.check("bench " + what, run({NTC_BENCH_BIN}, {{var, value}}),
+                  zero);
+    }
+  }
+  cases.expect_clean();
+}
+
+TEST(BadInput, BenchArguments) {
+  Cases cases;
+  for (const char* value : kBadValues) {
+    const bool zero = std::string(value) == "0";
+    cases.check(std::string("scale ") + value, run({NTC_BENCH_BIN, value}),
+                zero);
+    for (const char* flag : {"--scale", "--jobs"}) {
+      cases.check(std::string(flag) + "=" + value,
+                  run({NTC_BENCH_BIN, std::string(flag) + "=" + value}), zero);
+      cases.check(std::string(flag) + " " + value,
+                  run({NTC_BENCH_BIN, flag, value}), zero);
+    }
+  }
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {NTC_BENCH_BIN, "--bogus"},
+           {NTC_BENCH_BIN, "0.5", "0.5"},
+           {NTC_BENCH_BIN, "junk", "--scale=-1", "--jobs=abc", "--bogus"}}) {
+    cases.check(args.back(), run(args), false);
+  }
+  cases.expect_clean();
+}
+
+TEST(CliProfile, SingleCellReportsItsCellAndPhases) {
+  const fs::path report = scratch_dir() / "cell_profile.json";
+  fs::remove(report);
+  const std::string flag = "--profile=" + report.string();
+  const Outcome o = run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {flag})));
+  ASSERT_EQ(o.exit_code, 0) << o.err;
+  const std::string json = read_file(report);
+  EXPECT_NE(json.find("\"cells\": 1,"), std::string::npos) << json;
+  for (const char* phase : {"cell.generate", "cell.setup", "cell.measured"}) {
+    EXPECT_NE(json.find(std::string("\"") + phase + "\""), std::string::npos)
+        << phase << " missing from\n" << json;
+  }
+}
+
+TEST(CliProfile, BenchBinaryWritesItsReport) {
+  const fs::path report = scratch_dir() / "bench_profile.json";
+  fs::remove(report);
+  const Outcome o = run({NTC_BENCH_BIN, "--profile=" + report.string()});
+  ASSERT_EQ(o.exit_code, 0) << o.err;
+  EXPECT_NE(read_file(report).find("\"phases\""), std::string::npos);
+}
+
+}  // namespace

@@ -155,7 +155,7 @@ TEST(KilnSkip, CleanBacklogAgesTowardTheDeadlineRegression) {
   mem.set_nvm_observer(&durable);
   cache::Hierarchy hier(cfg, mem, events, stats, &vimage);
   hier.hooks().llc_nonvolatile = true;
-  persist::KilnConfig kc;
+  KilnConfig kc;
   persist::KilnUnit kiln(1, kc, hier, events, &durable, stats);
   const Addr nvm = cfg.address_space.heap_base();
 

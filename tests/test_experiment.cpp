@@ -65,7 +65,8 @@ TEST(ParseBenchArgs, ScaleFromArgvAndEnv) {
   EXPECT_DOUBLE_EQ(parse_bench_args(1, argv0).scale, 1.0);
   char bad[] = "-3";
   char* argv2[] = {prog, bad};
-  EXPECT_DOUBLE_EQ(parse_bench_args(2, argv2).scale, 1.0);  // ignored
+  EXPECT_EXIT(parse_bench_args(2, argv2), ::testing::ExitedWithCode(1),
+              "invalid value \"-3\"");  // rejected, never ignored
 }
 
 TEST(GeometricMeanEdge, RejectsNonPositive) {

@@ -78,7 +78,8 @@ TEST(DefaultJobs, HonorsEnvironmentVariable) {
   ::setenv("NTCSIM_JOBS", "3", 1);
   EXPECT_EQ(default_jobs(), 3u);
   ::setenv("NTCSIM_JOBS", "garbage", 1);
-  EXPECT_GE(default_jobs(), 1u);  // falls back to hardware_concurrency
+  EXPECT_EXIT(default_jobs(), ::testing::ExitedWithCode(1),
+              "NTCSIM_JOBS: invalid value \"garbage\"");  // rejected
   ::unsetenv("NTCSIM_JOBS");
   EXPECT_GE(default_jobs(), 1u);
 }

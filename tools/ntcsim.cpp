@@ -12,10 +12,9 @@
 //   ntcsim --dump-config
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "sim/report.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "workload/service.hpp"
 #include "workload/workloads.hpp"
 
 namespace {
@@ -45,7 +43,6 @@ struct Cli {
   std::string preset = "experiment";
   SystemConfig cfg = SystemConfig::experiment();
   workload::WorkloadParams params;
-  bool have_params = false;
   Cycle crash_at = 0;
   bool crash_sweep = false;
   std::string crash_report = "CRASH_sweep.json";
@@ -57,14 +54,56 @@ struct Cli {
   bool ops_explicit = false;
   bool setup_explicit = false;
   bool matrix = false;
-  unsigned jobs = 0;  // 0 = auto
-  double scale = 1.0;
-  bool profile = false;
-  std::string profile_out = "BENCH_selfperf.json";
+  sim::ExperimentOptions opts;  ///< --scale and --jobs (0 = auto)
+  const char* profile = nullptr;  ///< --profile report path, if profiling
   bool csv = false;
   bool stats = false;
   bool dump_config = false;
 };
+
+/// Flags that restate config keys. Each applies its `key=value` lines
+/// through apply_config_line, so the key table validates them; "{}" stands
+/// for the value of a flag spelled with a trailing '='.
+struct Alias {
+  const char* flag;
+  std::vector<const char*> lines;
+  bool Cli::* implies = nullptr;  ///< a mode the flag also switches on
+};
+
+const Alias kAliases[] = {
+    {"--serve", {"serve.enabled=1"}},
+    {"--rate=", {"serve.enabled=1", "serve.rate={}"}},
+    {"--requests=", {"serve.enabled=1", "serve.requests={}"}},
+    {"--closed-loop", {"serve.open_loop=0"}},
+    {"--uniform", {"serve.poisson=0"}},
+    {"--nodes=", {"topo.nodes={}"}},
+    {"--no-skip", {"skip.enabled=0"}},
+    {"--crash-points=", {"crash.points={}"}, &Cli::crash_sweep},
+    {"--minimize", {"crash.minimize=1"}},
+    {"--check", {"check=collect"}},
+    {"--check=", {"check={}"}},
+};
+
+/// Applies `a` if it spells one of kAliases. Returns false when it does
+/// not; sets `error` when it does but its value is rejected.
+bool apply_alias(const std::string& a, Cli& cli, std::string& error) {
+  for (const Alias& alias : kAliases) {
+    const std::string flag = alias.flag;
+    if (flag.back() == '=' ? a.rfind(flag, 0) != 0 : a != flag) continue;
+    for (std::string line : alias.lines) {
+      if (const std::size_t hole = line.find("{}"); hole != line.npos) {
+        line.replace(hole, 2, a.substr(flag.size()));
+      }
+      if (const auto r = sim::apply_config_line(line, cli.cfg); !r.ok) {
+        error = a.substr(0, a.find('=')) + ": " + r.error;
+        return true;
+      }
+    }
+    if (alias.implies != nullptr) cli.*alias.implies = true;
+    return true;
+  }
+  return false;
+}
 
 bool parse_args(int argc, char** argv, Cli& cli) {
   // Two passes: preset first (later keys overlay it).
@@ -85,26 +124,29 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     return false;
   }
 
-  std::string ops, setup, lookup, seed;
-  for (int i = 1; i < argc; ++i) {
+  std::optional<std::uint64_t> ops, setup, seed;
+  std::optional<unsigned> lookup;
+  std::string error;
+  for (int i = 1; i < argc && error.empty(); ++i) {
     const std::string a = argv[i];
     auto value = [&a]() { return a.substr(a.find('=') + 1); };
+    // `--flag=N` through parse_number; the error names the flag.
+    auto number = [&](const auto& bounds, auto& out) {
+      error = sim::parse_number(a.substr(0, a.find('=')), value(), bounds, out);
+    };
     if (a == "--help" || a == "-h") {
       usage();
       std::exit(0);
     } else if (a.rfind("--workload=", 0) == 0) {
       if (!sim::parse_workload(value(), cli.workload)) {
-        std::fprintf(stderr, "unknown workload \"%s\"\n", value().c_str());
-        return false;
+        error = "unknown workload \"" + value() + "\"";
       }
       cli.wl_explicit = true;
     } else if (a.rfind("--mechanism=", 0) == 0) {
       cli.mech_explicit = true;
       if (!sim::parse_mechanism(value(), cli.mechanism)) {
-        std::fprintf(
-            stderr, "unknown mechanism \"%s\" (known: %s)\n", value().c_str(),
-            persist::DomainRegistry::instance().known_names().c_str());
-        return false;
+        error = "unknown mechanism \"" + value() + "\" (known: " +
+                persist::DomainRegistry::instance().known_names() + ")";
       }
     } else if (a == "--list-mechanisms") {
       for (Mechanism m : persist::DomainRegistry::instance().all()) {
@@ -126,88 +168,35 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     } else if (a.rfind("--config=", 0) == 0) {
       std::ifstream f(value());
       if (!f) {
-        std::fprintf(stderr, "cannot open config \"%s\"\n", value().c_str());
-        return false;
-      }
-      const auto r = sim::apply_config(f, cli.cfg);
-      if (!r.ok) {
-        std::fprintf(stderr, "%s: %s\n", value().c_str(), r.error.c_str());
-        return false;
+        error = "cannot open config \"" + value() + "\"";
+      } else if (const auto r = sim::apply_config(f, cli.cfg); !r.ok) {
+        error = value() + ": " + r.error;
       }
     } else if (a == "--set" && i + 1 < argc) {
-      const auto r = sim::apply_config_line(argv[++i], cli.cfg);
-      if (!r.ok) {
-        std::fprintf(stderr, "--set: %s\n", r.error.c_str());
-        return false;
+      if (const auto r = sim::apply_config_line(argv[++i], cli.cfg); !r.ok) {
+        error = "--set: " + r.error;
       }
+    } else if (apply_alias(a, cli, error) ||
+               sim::parse_harness_flag(argc, argv, i, cli.opts, cli.profile,
+                                       error)) {
+      // a config-key alias (kAliases) or a flag shared with the benches
     } else if (a.rfind("--ops=", 0) == 0) {
-      ops = value();
+      number(sim::Bounds<std::uint64_t>{}, ops.emplace());
     } else if (a.rfind("--setup=", 0) == 0) {
-      setup = value();
+      // The generators need at least one element to build.
+      number(sim::Bounds<std::uint64_t>{1}, setup.emplace());
     } else if (a.rfind("--lookup=", 0) == 0) {
-      lookup = value();
+      number(sim::Bounds<unsigned>{0, 100}, lookup.emplace());
     } else if (a.rfind("--seed=", 0) == 0) {
-      seed = value();
+      number(sim::Bounds<std::uint64_t>{}, seed.emplace());
     } else if (a.rfind("--crash-at=", 0) == 0) {
-      cli.crash_at = std::stoull(value());
+      number(sim::Bounds<Cycle>{}, cli.crash_at);
     } else if (a == "--crash-sweep") {
       cli.crash_sweep = true;
-    } else if (a.rfind("--crash-points=", 0) == 0) {
-      cli.crash_sweep = true;
-      cli.cfg.crash.points = std::stoull(value());
-    } else if (a == "--minimize") {
-      cli.cfg.crash.minimize = true;
     } else if (a.rfind("--crash-report=", 0) == 0) {
       cli.crash_report = value();
-    } else if (a == "--check") {
-      cli.cfg.check = CheckMode::kCollect;
-    } else if (a.rfind("--check=", 0) == 0) {
-      if (!sim::parse_check_mode(value(), cli.cfg.check)) {
-        std::fprintf(stderr,
-                     "unknown --check mode \"%s\" (off | collect | fatal)\n",
-                     value().c_str());
-        return false;
-      }
-    } else if (a.rfind("--nodes=", 0) == 0) {
-      const unsigned long n = std::stoul(value());
-      if (n == 0) {
-        std::fprintf(stderr, "--nodes must be positive\n");
-        return false;
-      }
-      cli.cfg.topo.nodes = static_cast<unsigned>(n);
-    } else if (a == "--serve") {
-      cli.cfg.service.enabled = true;
-    } else if (a.rfind("--rate=", 0) == 0) {
-      cli.cfg.service.enabled = true;
-      cli.cfg.service.rate = std::stod(value());
-      if (cli.cfg.service.rate <= 0.0) {
-        std::fprintf(stderr, "--rate must be positive\n");
-        return false;
-      }
-    } else if (a.rfind("--requests=", 0) == 0) {
-      cli.cfg.service.enabled = true;
-      cli.cfg.service.requests = std::stoull(value());
-    } else if (a == "--closed-loop") {
-      cli.cfg.service.open_loop = false;
-    } else if (a == "--uniform") {
-      cli.cfg.service.poisson = false;
-    } else if (a == "--no-skip") {
-      cli.cfg.skip.enabled = false;
     } else if (a == "--matrix") {
       cli.matrix = true;
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      cli.jobs = static_cast<unsigned>(std::stoul(value()));
-    } else if (a == "--jobs" && i + 1 < argc) {
-      cli.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (a.rfind("--scale=", 0) == 0) {
-      cli.scale = std::stod(value());
-    } else if (a == "--scale" && i + 1 < argc) {
-      cli.scale = std::stod(argv[++i]);
-    } else if (a == "--profile") {
-      cli.profile = true;
-    } else if (a.rfind("--profile=", 0) == 0) {
-      cli.profile = true;
-      cli.profile_out = value();
     } else if (a == "--csv") {
       cli.csv = true;
     } else if (a == "--stats") {
@@ -215,26 +204,27 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     } else if (a == "--dump-config") {
       cli.dump_config = true;
     } else {
-      std::fprintf(stderr, "unknown argument \"%s\" (try --help)\n",
-                   a.c_str());
-      return false;
+      error = "unknown argument \"" + a + "\" (try --help)";
     }
   }
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
+  }
+  sim::apply_env_knobs(cli.opts);
 
   cli.cfg.mechanism = cli.mechanism;
   cli.params = workload::default_params(cli.workload);
-  cli.ops_explicit = !ops.empty();
-  cli.setup_explicit = !setup.empty();
-  if (!ops.empty()) cli.params.ops = std::stoull(ops);
+  cli.ops_explicit = ops.has_value();
+  cli.setup_explicit = setup.has_value();
+  cli.seed_explicit = seed.has_value();
+  if (ops) cli.params.ops = *ops;
   if (cli.cfg.service.enabled && cli.cfg.service.requests > 0) {
     cli.params.ops = cli.cfg.service.requests;  // --requests wins over --ops
   }
-  if (!setup.empty()) cli.params.setup_elems = std::stoull(setup);
-  if (!lookup.empty()) {
-    cli.params.lookup_pct = static_cast<unsigned>(std::stoul(lookup));
-  }
-  cli.seed_explicit = !seed.empty();
-  if (!seed.empty()) cli.params.seed = std::stoull(seed);
+  if (setup) cli.params.setup_elems = *setup;
+  if (lookup) cli.params.lookup_pct = *lookup;
+  if (seed) cli.params.seed = *seed;
   return true;
 }
 
@@ -250,7 +240,7 @@ int run_crash_sweep_mode(const Cli& cli) {
   if (cli.setup_explicit) cfg.crash.setup = cli.params.setup_elems;
   cfg.crash.ops = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
-             static_cast<double>(cfg.crash.ops) * cli.scale));
+             static_cast<double>(cfg.crash.ops) * cli.opts.scale));
 
   std::vector<faultsim::VariantSpec> variants = faultsim::default_variants();
   if (cli.mech_explicit) {
@@ -280,7 +270,7 @@ int run_crash_sweep_mode(const Cli& cli) {
   }
 
   faultsim::CampaignOptions opts;
-  opts.jobs = cli.jobs;
+  opts.jobs = cli.opts.jobs;
   opts.repro_prefix = "ntcsim";
   if (cli.preset != "experiment") opts.repro_prefix += " --preset=" + cli.preset;
 
@@ -315,10 +305,8 @@ int run_crash_sweep_mode(const Cli& cli) {
 // one invocation, cells fanned out over worker threads. CSV mode emits one
 // row per cell; otherwise the Fig. 6/7-style normalized tables print.
 int run_matrix_mode(const Cli& cli) {
-  sim::ExperimentOptions opts;
-  opts.scale = cli.scale;
+  sim::ExperimentOptions opts = cli.opts;
   opts.seed = cli.params.seed;
-  opts.jobs = cli.jobs;
   sim::Matrix matrix;
   try {
     matrix = sim::run_matrix(cli.cfg, opts);
@@ -351,53 +339,11 @@ int run_matrix_mode(const Cli& cli) {
 }
 
 int run(const Cli& cli) {
-  const unsigned nodes = std::max(1u, cli.cfg.topo.nodes);
   // The atomicity oracle (--crash-at) follows node 0, where the crash is
   // injected; other nodes' shards run without a journal.
   recovery::Journal journal(cli.cfg.cores);
-  std::vector<std::vector<workload::TraceBundle>> bundles(nodes);
-  for (NodeId n = 0; n < nodes; ++n) {
-    workload::SimHeap heap(cli.cfg.address_space, cli.cfg.cores);
-    workload::WorkloadParams p = cli.params;
-    p.seed = cli.params.seed + n * 0x9e3779b9ULL;
-    for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-      bundles[n].push_back(workload::generate_phased(
-          p, c, heap, n == 0 ? &journal : nullptr));
-      workload::stamp_service_arrivals(bundles[n][c].measured,
-                                       cli.cfg.service, c, cli.params.seed, n);
-    }
-  }
-  topo::RouteStats route;
-  if (nodes > 1 && cli.cfg.service.enabled && cli.cfg.service.open_loop) {
-    std::vector<std::vector<core::Trace*>> measured(nodes);
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-        measured[n].push_back(&bundles[n][c].measured);
-      }
-    }
-    route = topo::route_service_arrivals(measured, cli.cfg.topo, cli.cfg.ghz,
-                                         cli.params.seed);
-  }
-
-  sim::System sys(cli.cfg);
-  for (NodeId n = 0; n < nodes; ++n) {
-    for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-      sys.load_trace(n, c, std::move(bundles[n][c].setup));
-    }
-  }
-  if (sys.run() != sim::RunStatus::kFinished) {
-    std::fprintf(stderr,
-                 "ntcsim: setup phase hit the cycle cap — truncated run, "
-                 "results discarded\n");
-    return 4;
-  }
-  sys.reset_stats();
-  sys.note_route_stats(route);
-  for (NodeId n = 0; n < nodes; ++n) {
-    for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-      sys.load_trace(n, c, std::move(bundles[n][c].measured));
-    }
-  }
+  sim::Cell cell(cli.cfg, cli.params, &journal);
+  sim::Cluster& sys = cell.cluster();
 
   if (cli.crash_at > 0) {
     const Cycle epoch = sys.now();
@@ -422,13 +368,7 @@ int run(const Cli& cli) {
     return 2;
   }
 
-  if (sys.run() != sim::RunStatus::kFinished) {
-    std::fprintf(stderr,
-                 "ntcsim: measured phase hit the cycle cap — truncated run, "
-                 "results discarded\n");
-    return 4;
-  }
-  const sim::Metrics m = sys.metrics();
+  const sim::Metrics m = cell.run();
 
   const std::string label = std::string(to_string(cli.workload)) + "/" +
                             std::string(sim::mechanism_label(cli.mechanism));
@@ -515,13 +455,14 @@ int main(int argc, char** argv) {
     sim::write_config(std::cout, cli.cfg);
     return 0;
   }
-  // Opened here (not in run_matrix_mode) so single-cell runs profile too;
-  // the inner session run_sweep would open is inert while this one lives.
-  std::unique_ptr<sim::ProfileSession> session;
-  if (cli.profile) {
-    session = std::make_unique<sim::ProfileSession>(cli.profile_out);
-  }
+  if (cli.profile != nullptr) sim::profile_until_exit(cli.profile);
   if (cli.crash_sweep) return run_crash_sweep_mode(cli);
   if (cli.matrix) return run_matrix_mode(cli);
-  return run(cli);
+  try {
+    return run(cli);
+  } catch (const std::runtime_error& e) {
+    // A cell that hit the cycle cap: a truncated run, results discarded.
+    std::fprintf(stderr, "ntcsim: %s\n", e.what());
+    return 4;
+  }
 }
