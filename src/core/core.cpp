@@ -1,5 +1,6 @@
 #include "core/core.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/assert.hpp"
@@ -37,6 +38,7 @@ Core::Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
 void Core::bind_trace(const Trace* trace) {
   trace_ = trace;
   cursor_ = 0;
+  run_fetched_ = 0;
   req_start_q_.clear();
   trace_base_valid_ = false;
 }
@@ -61,25 +63,31 @@ bool Core::sb_holds_line_(Addr line) const {
 }
 
 void Core::fetch_(Cycle now) {
+  if (trace_ == nullptr) return;
+  const std::vector<MicroOp>& ops = trace_->ops();
   unsigned fetched = 0;
-  while (trace_ != nullptr && cursor_ < trace_->size() &&
-         rob_.size() < cfg_.rob_entries && fetched < cfg_.issue_width) {
+  while (cursor_ < ops.size() && rob_uops_ < cfg_.rob_entries &&
+         fetched < cfg_.issue_width) {
+    const MicroOp& op = ops[cursor_];
     // Open-loop service mode: a kTxBegin stamped with a future arrival
     // cycle has not been issued by the load generator yet — the frontend
     // idles until it arrives. A congested core fetches it late, and that
     // queueing delay lands in the request latency (start = arrival). A
     // cross-shard request additionally cannot be fetched before the
     // interconnect delivered it (arrival + net_fwd).
-    if ((*trace_)[cursor_].kind == OpKind::kTxBegin &&
-        (*trace_)[cursor_].addr > 0 &&
-        trace_base_ + (*trace_)[cursor_].addr + (*trace_)[cursor_].net_fwd >
-            now) {
+    if (op.kind == OpKind::kTxBegin && op.addr > 0 &&
+        trace_base_ + op.addr + op.net_fwd > now) {
       break;
     }
     RobEntry e;
-    e.op = (*trace_)[cursor_++];
+    e.op = op;
     switch (e.op.kind) {
       case OpKind::kCompute:
+        // A slice of the run: the µops left in it, cut to the free fetch
+        // slots and ROB capacity. They share this entry and ready cycle.
+        e.op.count = std::min({op.count - run_fetched_,
+                               cfg_.issue_width - fetched,
+                               cfg_.rob_entries - rob_uops_});
         e.ready_at = now + cfg_.compute_latency;
         break;
       case OpKind::kLoad:
@@ -98,11 +106,18 @@ void Core::fetch_(Cycle now) {
         e.ready = true;  // readiness checked at retire for the rest
         break;
     }
+    // The cursor moves on once the whole record is fetched.
+    run_fetched_ += e.op.count;
+    if (run_fetched_ == op.count) {
+      run_fetched_ = 0;
+      ++cursor_;
+    }
+    rob_uops_ += e.op.count;
+    fetched += e.op.count;
     rob_.push_back(std::move(e));
     if (rob_.back().op.kind == OpKind::kLoad) {
       unissued_q_.push_back(&rob_.back());
     }
-    ++fetched;
   }
 }
 
@@ -197,27 +212,29 @@ void Core::drain_store_buffer_(Cycle now) {
   }
 }
 
-bool Core::retire_one_(Cycle now) {
+unsigned Core::retire_head_(Cycle now, unsigned slots) {
   RobEntry& e = rob_.front();
+  unsigned n = 1;
   switch (e.op.kind) {
     case OpKind::kCompute:
       if (now < e.ready_at) {
         note_stall_(Stall::kCompute);
-        return false;
+        return 0;
       }
+      n = std::min(e.op.count, slots);  // drain into the slots left
       break;
 
     case OpKind::kLoad:
       if (!e.ready) {
         note_stall_(Stall::kLoad);
-        return false;
+        return 0;
       }
       break;
 
     case OpKind::kStore: {
       if (sb_.size() >= cfg_.store_buffer_entries) {
         note_stall_(Stall::kSbFull);
-        return false;
+        return 0;
       }
       SbEntry s;
       s.addr = e.op.addr;
@@ -275,10 +292,10 @@ bool Core::retire_one_(Cycle now) {
       switch (domain_->on_tx_end(now, id_, mode_reg_)) {
         case TxEndResult::kStallDrain:
           note_stall_(Stall::kTxendDrain);
-          return false;
+          return 0;
         case TxEndResult::kStallFlush:
           note_stall_(Stall::kTxendFlush);
-          return false;
+          return 0;
         case TxEndResult::kCommitted:
           break;
       }
@@ -304,7 +321,7 @@ bool Core::retire_one_(Cycle now) {
     case OpKind::kClwb: {
       if (sb_holds_line_(line_of(e.op.addr))) {
         note_stall_(Stall::kClwbDrain);
-        return false;  // the flushed store must reach the L1 first
+        return 0;  // the flushed store must reach the L1 first
       }
       const bool is_log = e.op.flush == FlushKind::kLog;
       const mem::Source src =
@@ -315,7 +332,7 @@ bool Core::retire_one_(Cycle now) {
           hier_->clwb(now, id_, e.op.addr, src, [counter] { --*counter; });
       if (!ok) {
         note_stall_(Stall::kClwbIssue);
-        return false;
+        return 0;
       }
       ++*counter;
       break;
@@ -327,7 +344,7 @@ bool Core::retire_one_(Cycle now) {
       flush_wc_buffer_(now);
       if (!sb_.empty() || !nt_pending_.empty()) {
         note_stall_(Stall::kSfence);
-        return false;
+        return 0;
       }
       break;
 
@@ -337,15 +354,17 @@ bool Core::retire_one_(Cycle now) {
       // the next transaction.
       if (outstanding_log_flushes_ > 0) {
         note_stall_(Stall::kPcommit);
-        return false;
+        return 0;
       }
       break;
   }
 
-  rob_.pop_front();
-  ++retired_;
-  stat_retired_->inc();
-  return true;
+  e.op.count -= n;  // other kinds hold one µop, so they always leave
+  if (e.op.count == 0) rob_.pop_front();
+  rob_uops_ -= n;
+  retired_ += n;
+  stat_retired_->inc(n);
+  return n;
 }
 
 void Core::tick(Cycle now) {
@@ -356,16 +375,17 @@ void Core::tick(Cycle now) {
   }
   // A write-combining buffer does not hold data forever: once the frontend
   // has nothing left the open line flushes on its own (WC timeout).
-  if (trace_ != nullptr && cursor_ >= trace_->size() && rob_.empty() &&
+  if (trace_ != nullptr && cursor_ >= trace_->ops().size() && rob_.empty() &&
       !wc_words_.empty()) {
     flush_wc_buffer_(now);
   }
   drain_nt_writes_(now);
   drain_store_buffer_(now);
   issue_loads_(now);
-  for (unsigned r = 0; r < cfg_.issue_width; ++r) {
-    if (rob_.empty()) break;
-    if (!retire_one_(now)) break;
+  for (unsigned slots = cfg_.issue_width; slots > 0 && !rob_.empty();) {
+    const unsigned retired = retire_head_(now, slots);
+    if (retired == 0) break;
+    slots -= retired;
   }
   fetch_(now);
 }
@@ -378,13 +398,13 @@ Cycle Core::next_event_cycle(Cycle now) const {
   // progress and the stall counters (coreN.stall.*, ntc_stall_cycles) are
   // observable every blocked cycle.
   if (!rob_.empty() || !sb_.empty() || !nt_pending_.empty()) return now + 1;
-  if (trace_ == nullptr || cursor_ >= trace_->size()) {
+  if (trace_ == nullptr || cursor_ >= trace_->ops().size()) {
     // Trace done, buffers empty. An open write-combining line flushes on
     // its own (WC timeout) at the next tick; after that only flush acks
     // remain, and those are event-queue driven.
     return wc_words_.empty() ? kNeverCycle : now + 1;
   }
-  const MicroOp& op = (*trace_)[cursor_];
+  const MicroOp& op = trace_->ops()[cursor_];
   if (op.kind == OpKind::kTxBegin && op.addr > 0) {
     // Arrival-gated service request: with every buffer empty the frontend
     // is provably idle until the request arrives (the WC-timeout flush
@@ -396,7 +416,8 @@ Cycle Core::next_event_cycle(Cycle now) const {
 }
 
 bool Core::finished() const {
-  return trace_ != nullptr && cursor_ >= trace_->size() && rob_.empty() &&
+  return trace_ != nullptr && cursor_ >= trace_->ops().size() &&
+         rob_.empty() &&
          sb_.empty() && nt_pending_.empty() && wc_words_.empty() &&
          outstanding_log_flushes_ == 0 && outstanding_data_flushes_ == 0;
 }

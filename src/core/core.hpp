@@ -58,6 +58,10 @@ class Core {
   // Deques never relocate surviving elements, so the hierarchy's fill
   // callback can hold a RobEntry* directly: a load entry retires only
   // after it became ready, i.e. after the callback fired.
+  //
+  // The compute µops fetched from one run in one cycle share an entry:
+  // op.count holds how many are left and they share one ready_at. Every
+  // other entry holds one µop (op.count == 1).
   struct RobEntry {
     MicroOp op;
     bool ready = false;
@@ -95,7 +99,9 @@ class Core {
   void drain_store_buffer_(Cycle now);
   void flush_wc_buffer_(Cycle now);
   void drain_nt_writes_(Cycle now);
-  bool retire_one_(Cycle now);
+  /// Retires from the ROB head into at most `slots` retire slots; returns
+  /// the µops retired (0 = the head is blocked, its stall counted).
+  unsigned retire_head_(Cycle now, unsigned slots);
   void on_load_done_(RobEntry* e);
   bool forwarded_by_store_(const RobEntry* until, Addr addr) const;
   bool sb_holds_line_(Addr line) const;
@@ -113,13 +119,17 @@ class Core {
   std::string prefix_;
 
   const Trace* trace_ = nullptr;
-  std::size_t cursor_ = 0;
+  std::size_t cursor_ = 0;  ///< Next record of trace_->ops().
+  /// µops of the record at cursor_ already fetched (only a compute run
+  /// is ever part-fetched).
+  std::uint32_t run_fetched_ = 0;
   /// Cycle of the first tick after bind_trace(): arrival stamps on kTxBegin
   /// ops are relative to the trace's start, so the gate and the latency
   /// math rebase them onto the absolute clock.
   Cycle trace_base_ = 0;
   bool trace_base_valid_ = false;
   std::deque<RobEntry> rob_;
+  unsigned rob_uops_ = 0;  ///< µops in rob_ (cfg_.rob_entries is in µops).
   std::deque<RobEntry*> unissued_q_;  ///< Loads awaiting issue, in order.
   std::deque<SbEntry> sb_;
 

@@ -1,6 +1,8 @@
 // Micro-operations consumed by the core timing model. Workload generators
 // produce kCompute/kLoad/kStore/kTxBegin/kTxEnd; the SP trace transform
 // additionally injects kClwb/kSfence/kPcommit and log stores (Fig. 3a).
+// A kCompute op stands for a run of `count` back-to-back ALU µops, so the
+// generators' padding costs one record instead of hundreds.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,9 @@ struct MicroOp {
   OpKind kind = OpKind::kCompute;
   FlushKind flush = FlushKind::kData;
   bool persistent = false;
+  /// kCompute: the run length, >= 1 (core::Trace merges adjacent runs).
+  /// Every other kind: 1.
+  std::uint32_t count = 1;
   /// kLoad / kStore / kClwb: the accessed address. kTxBegin: the request's
   /// arrival cycle (0 = back-to-back; service mode stamps open-loop
   /// arrivals here, see workload/service.hpp) — the field is otherwise
@@ -43,7 +48,11 @@ struct MicroOp {
   std::uint32_t net_fwd = 0;
   std::uint32_t net_rsp = 0;
 
-  static MicroOp compute() { return {}; }
+  static MicroOp compute(std::uint32_t n = 1) {
+    MicroOp op;
+    op.count = n;
+    return op;
+  }
   static MicroOp load(Addr a, bool persistent) {
     MicroOp op;
     op.kind = OpKind::kLoad;
@@ -98,5 +107,7 @@ struct MicroOp {
     return op;
   }
 };
+// The run length sits in the padding after the three flag bytes.
+static_assert(sizeof(MicroOp) == 32, "MicroOp grew");
 
 }  // namespace ntcsim::core

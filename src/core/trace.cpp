@@ -1,13 +1,13 @@
 #include "core/trace.hpp"
 
-#include <algorithm>
-
 namespace ntcsim::core {
 
 std::size_t Trace::count(OpKind kind) const {
-  return static_cast<std::size_t>(
-      std::count_if(ops_.begin(), ops_.end(),
-                    [kind](const MicroOp& op) { return op.kind == kind; }));
+  std::size_t n = 0;
+  for (const MicroOp& op : ops_) {
+    if (op.kind == kind) n += op.count;
+  }
+  return n;
 }
 
 }  // namespace ntcsim::core

@@ -1,11 +1,9 @@
 #include "core/trace_io.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <vector>
 
 namespace ntcsim::core {
 
@@ -27,19 +25,6 @@ static_assert(sizeof(Record) == 24, "trace record layout drifted");
 constexpr std::uint8_t kMaxKind = static_cast<std::uint8_t>(OpKind::kPcommit);
 constexpr std::uint8_t kMaxFlush = static_cast<std::uint8_t>(FlushKind::kLog);
 
-/// Whole records between the read position and the end of the stream, or
-/// 0 when the stream cannot seek.
-std::uint64_t records_left(std::istream& is) {
-  const std::streampos here = is.tellg();
-  if (here < 0) return 0;
-  is.seekg(0, std::ios::end);
-  const std::streampos end = is.tellg();
-  is.clear();
-  is.seekg(here);
-  return end > here ? static_cast<std::uint64_t>(end - here) / sizeof(Record)
-                    : 0;
-}
-
 }  // namespace
 
 TraceIoResult write_trace(std::ostream& os, const Trace& trace) {
@@ -55,7 +40,10 @@ TraceIoResult write_trace(std::ostream& os, const Trace& trace) {
     r.persistent = op.persistent ? 1 : 0;
     r.addr = op.addr;
     r.value = op.value;
-    os.write(reinterpret_cast<const char*>(&r), sizeof r);
+    // The file keeps one record per µop: a compute run writes `count`.
+    for (std::uint32_t i = 0; i < op.count; ++i) {
+      os.write(reinterpret_cast<const char*>(&r), sizeof r);
+    }
   }
   if (!os) return {false, "write failed"};
   return {};
@@ -76,11 +64,10 @@ TraceIoResult read_trace(std::istream& is, Trace& trace) {
   is.read(reinterpret_cast<char*>(&count), sizeof count);
   if (!is) return {false, "truncated header"};
 
-  // The header count is untrusted: reserve no more records than the
-  // stream holds, so a corrupt count ends in a truncation error rather
-  // than a huge allocation.
-  std::vector<MicroOp> ops;
-  ops.reserve(std::min(count, records_left(is)));
+  // The header count is untrusted, so nothing is reserved from it: a
+  // corrupt count ends in a truncation error, not a huge allocation.
+  // push() folds the per-µop compute records back into runs.
+  Trace out;
   for (std::uint64_t i = 0; i < count; ++i) {
     Record r{};
     is.read(reinterpret_cast<char*>(&r), sizeof r);
@@ -102,9 +89,9 @@ TraceIoResult read_trace(std::istream& is, Trace& trace) {
     op.persistent = r.persistent != 0;
     op.addr = r.addr;
     op.value = r.value;
-    ops.push_back(op);
+    out.push(op);
   }
-  trace = Trace(std::move(ops));
+  trace = std::move(out);
   return {};
 }
 

@@ -3,7 +3,8 @@
 // anchor for regression comparisons).
 //
 // Format: 16-byte header (magic "NTCT", u32 version, u64 op count), then
-// one 24-byte record per micro-op, little-endian host layout.
+// one 24-byte record per micro-op, little-endian host layout. A compute
+// run is written as `count` records and read back as one run.
 #pragma once
 
 #include <iosfwd>

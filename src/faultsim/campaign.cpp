@@ -116,13 +116,13 @@ SweepOutcome replay_sweep(const SystemConfig& cfg,
 /// journal stays full — the oracle accepts any program-order prefix, so a
 /// truncated replay is still checkable against it.
 core::Trace tx_prefix(const core::Trace& t, std::size_t n) {
-  std::vector<core::MicroOp> ops;
+  core::Trace out;
   std::size_t ends = 0;
   for (const core::MicroOp& op : t.ops()) {
-    ops.push_back(op);
+    out.push(op);
     if (op.kind == core::OpKind::kTxEnd && ++ends == n) break;
   }
-  return core::Trace(std::move(ops));
+  return out;
 }
 
 /// Shrink a failing single-core cell to the shortest transaction prefix

@@ -1,6 +1,7 @@
 #include "sim/config_io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -310,8 +311,12 @@ CheckMode check_mode_from_env(CheckMode configured) {
   const char* env = std::getenv("NTCSIM_CHECK");
   if (env == nullptr) return configured;
   CheckMode mode = configured;
-  parse_check_mode(env, mode);
-  return mode;
+  if (parse_check_mode(env, mode)) return mode;
+  std::fprintf(stderr,
+               "NTCSIM_CHECK: invalid value \"%s\"; expected one of: off, "
+               "collect, fatal\n",
+               env);
+  std::exit(1);
 }
 
 bool parse_workload(const std::string& name, WorkloadKind& out) {
@@ -361,6 +366,32 @@ ConfigParseResult apply_config(std::istream& is, SystemConfig& cfg) {
     if (!r.ok) {
       r.error = "line " + std::to_string(lineno) + ": " + r.error;
       return r;
+    }
+  }
+  return {};
+}
+
+std::string check_geometry(const SystemConfig& cfg) {
+  const std::pair<const char*, const CacheConfig*> caches[] = {
+      {"l1", &cfg.l1}, {"l2", &cfg.l2}, {"llc", &cfg.llc}};
+  for (const auto& [name, c] : caches) {
+    if (!std::has_single_bit(c->sets())) {
+      const std::string n = name;
+      return n + ".size_kb=" + format_number(c->size_bytes >> 10) + " with " +
+             n + ".ways=" + format_number(c->ways) + " makes " +
+             format_number(c->sets()) +
+             " sets; the set count must be a power of two";
+    }
+  }
+  const std::pair<const char*, const MemCtrlConfig*> mems[] = {
+      {"nvm", &cfg.nvm}, {"dram", &cfg.dram}};
+  for (const auto& [name, m] : mems) {
+    for (const auto& [key, v] : {std::pair{".ranks", m->ranks},
+                                 std::pair{".banks", m->banks_per_rank}}) {
+      if (!std::has_single_bit(v)) {
+        return std::string(name) + key + "=" + format_number(v) +
+               ": must be a power of two";
+      }
     }
   }
   return {};

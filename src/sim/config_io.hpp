@@ -69,6 +69,14 @@ ConfigParseResult apply_config(std::istream& is, SystemConfig& cfg);
 ConfigParseResult apply_config_line(const std::string& line,
                                     SystemConfig& cfg);
 
+/// The limits across keys that no single key's bounds can express: each
+/// cache level's set count (size / line / ways) and each memory's ranks
+/// and banks per rank must be powers of two. "" when `cfg` meets them,
+/// else a one-line error naming the keys. The drivers check once every
+/// config source is applied and exit 1; CacheArray and AddressMap keep
+/// their invariant checks for library callers.
+std::string check_geometry(const SystemConfig& cfg);
+
 /// Serialize every supported key with its current value — the output
 /// round-trips through apply_config.
 void write_config(std::ostream& os, const SystemConfig& cfg);
@@ -85,8 +93,9 @@ bool parse_workload(const std::string& name, WorkloadKind& out);
 bool parse_check_mode(const std::string& value, CheckMode& out);
 
 /// `configured` with the NTCSIM_CHECK environment override applied
-/// (parse_check_mode spellings; unset or unparsable values leave the
-/// configured mode in force).
+/// (parse_check_mode spellings; unset leaves the configured mode in
+/// force). A malformed value prints one line and exits 1, as
+/// parse_env_number does.
 CheckMode check_mode_from_env(CheckMode configured);
 
 }  // namespace ntcsim::sim

@@ -216,6 +216,9 @@ void print_figure(std::ostream& os, const std::string& title,
 void apply_env_knobs(ExperimentOptions& opts) {
   parse_env_number("NTCSIM_SCALE", kScaleBounds, opts.scale);
   if (opts.jobs == 0) parse_env_number("NTCSIM_JOBS", kJobsBounds, opts.jobs);
+  // Each Node reads NTCSIM_CHECK; reading it here rejects a malformed
+  // value before any cell starts.
+  check_mode_from_env(CheckMode::kOff);
 }
 
 bool parse_harness_flag(int argc, char** argv, int& i, ExperimentOptions& opts,

@@ -100,7 +100,8 @@ void print_figure(std::ostream& os, const std::string& title,
                   const std::string& caption);
 
 /// The shared environment knobs (a malformed value exits 1): NTCSIM_SCALE
-/// replaces opts.scale, NTCSIM_JOBS fills opts.jobs unless a flag set it.
+/// replaces opts.scale, NTCSIM_JOBS fills opts.jobs unless a flag set it,
+/// and NTCSIM_CHECK is validated (the nodes apply it).
 void apply_env_knobs(ExperimentOptions& opts);
 
 /// Consumes argv[i] if it is a flag ntcsim and the benches share:

@@ -1,6 +1,8 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -62,6 +64,12 @@ void parallel_for(std::size_t count, unsigned jobs,
 
 std::vector<Metrics> run_sweep(const std::vector<JobSpec>& specs,
                                unsigned jobs) {
+  for (const JobSpec& s : specs) {
+    if (const std::string error = check_geometry(s.cfg); !error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      std::exit(1);
+    }
+  }
   return run_jobs(specs.size(), jobs, [&](std::size_t i) {
     const JobSpec& s = specs[i];
     return run_cell(s.mech, s.wl, s.cfg, s.opts);

@@ -58,6 +58,8 @@ struct JobSpec {
 };
 
 /// Run every spec (in spec order in the result) on up to `jobs` threads.
+/// A spec whose config fails check_geometry prints one line and exits 1
+/// before any cell starts.
 /// Seeds are taken from each spec's opts, so a sweep that wants distinct
 /// random streams per point sets opts.seed per spec; the common case —
 /// same seed, different configs — reproduces the serial harness exactly.

@@ -38,7 +38,7 @@ void TraceEmitter::store(Addr a, Word v) {
 }
 
 void TraceEmitter::compute(unsigned n) {
-  for (unsigned i = 0; i < n; ++i) current_().push(core::MicroOp::compute());
+  if (n > 0) current_().push(core::MicroOp::compute(n));
 }
 
 void TraceEmitter::mark_measured_phase() {
@@ -52,11 +52,10 @@ core::Trace TraceEmitter::take_setup() { return std::move(setup_); }
 core::Trace TraceEmitter::take_measured() { return std::move(measured_); }
 
 core::Trace TraceEmitter::take_combined() {
-  std::vector<core::MicroOp> ops = setup_.ops();
-  ops.insert(ops.end(), measured_.ops().begin(), measured_.ops().end());
-  setup_ = core::Trace{};
+  core::Trace out = std::move(setup_);
+  out.append(measured_);
   measured_ = core::Trace{};
-  return core::Trace(std::move(ops));
+  return out;
 }
 
 }  // namespace ntcsim::workload

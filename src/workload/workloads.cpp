@@ -101,9 +101,9 @@ TraceBundle generate_phased(const WorkloadParams& params, CoreId core,
 core::Trace generate(const WorkloadParams& params, CoreId core, SimHeap& heap,
                      recovery::Journal* journal) {
   TraceBundle b = generate_phased(params, core, heap, journal);
-  std::vector<core::MicroOp> ops = b.setup.ops();
-  ops.insert(ops.end(), b.measured.ops().begin(), b.measured.ops().end());
-  return core::Trace(std::move(ops));
+  core::Trace out = std::move(b.setup);
+  out.append(b.measured);
+  return out;
 }
 
 }  // namespace ntcsim::workload

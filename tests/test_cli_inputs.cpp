@@ -1,10 +1,12 @@
 // End-to-end input handling of the real binaries: every config key, every
-// numeric ntcsim flag, the NTCSIM_SCALE / NTCSIM_JOBS variables and a bench
-// binary's arguments get junk, a negative, zero and an overflow. Each case
-// must exit 1 with exactly one line on stderr — or, for a zero the input
-// accepts, run a tiny cell and exit 0. Nothing may die on a signal or run
-// into the timeout. Also checks that --profile writes its report from a
-// single ntcsim cell and from a bench binary.
+// numeric ntcsim flag, the NTCSIM_SCALE / NTCSIM_JOBS / NTCSIM_CHECK
+// variables and a bench binary's arguments get junk, a negative, zero and
+// an overflow. Each case must exit 1 with exactly one line on stderr — or,
+// for a zero the input accepts, run a tiny cell and exit 0. Cache and
+// memory geometries that pass each key's bounds but not the limits across
+// keys exit 1 the same way. Nothing may die on a signal or run into the
+// timeout. Also checks that --profile writes its report from a single
+// ntcsim cell and from a bench binary.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -197,7 +199,8 @@ TEST(BadInput, EveryNumericFlag) {
 
 TEST(BadInput, EnvironmentVariables) {
   Cases cases;
-  for (const char* var : {"NTCSIM_JOBS", "NTCSIM_SCALE"}) {
+  // NTCSIM_CHECK takes off/0, collect/1 or fatal: "0" runs the cell.
+  for (const char* var : {"NTCSIM_JOBS", "NTCSIM_SCALE", "NTCSIM_CHECK"}) {
     for (const char* value : kBadValues) {
       const bool zero = std::string(value) == "0";
       const std::string what = std::string(var) + "=" + value;
@@ -207,6 +210,20 @@ TEST(BadInput, EnvironmentVariables) {
       cases.check("bench " + what, run({NTC_BENCH_BIN}, {{var, value}}),
                   zero);
     }
+  }
+  cases.expect_clean();
+}
+
+TEST(BadInput, CacheAndMemoryGeometry) {
+  Cases cases;
+  for (const char* set :
+       {"l1.size_kb=48", "l2.ways=3", "llc.size_kb=3000", "l1.ways=1024",
+        "nvm.ranks=3", "nvm.banks=6", "dram.ranks=5", "dram.banks=12"}) {
+    cases.check(std::string("--set ") + set,
+                run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--set", set}))),
+                false);
+    cases.check(std::string("--matrix --set ") + set,
+                run({NTC_NTCSIM_BIN, "--matrix", "--set", set}), false);
   }
   cases.expect_clean();
 }

@@ -95,9 +95,9 @@ TEST(Routing, IsDeterministicAndProducesCrossShardTraffic) {
   EXPECT_GE(ra.fwd_cycles, ra.xshard * 180u);
 
   for (std::size_t n = 0; n < 2; ++n) {
-    for (std::size_t i = 0; i < a[n].size(); ++i) {
-      EXPECT_EQ(a[n][i].net_fwd, b[n][i].net_fwd) << "node " << n;
-      EXPECT_EQ(a[n][i].net_rsp, b[n][i].net_rsp) << "node " << n;
+    for (std::size_t i = 0; i < a[n].ops().size(); ++i) {
+      EXPECT_EQ(a[n].ops()[i].net_fwd, b[n].ops()[i].net_fwd) << "node " << n;
+      EXPECT_EQ(a[n].ops()[i].net_rsp, b[n].ops()[i].net_rsp) << "node " << n;
     }
   }
 }

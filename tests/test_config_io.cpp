@@ -7,6 +7,31 @@
 namespace ntcsim::sim {
 namespace {
 
+TEST(ConfigIo, GeometryOfThePresetsIsValid) {
+  for (const SystemConfig& cfg : {SystemConfig::paper(),
+                                  SystemConfig::experiment(),
+                                  SystemConfig::tiny()}) {
+    EXPECT_EQ(check_geometry(cfg), "");
+  }
+}
+
+TEST(ConfigIo, GeometryErrorsNameTheKeys) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"l1.size_kb=48", "l1.size_kb=48 with l1.ways="},
+      {"l2.ways=3", "l2.ways=3 makes"},
+      {"llc.size_kb=3000", "llc.size_kb=3000"},
+      {"l1.ways=1024", "makes 0 sets"},
+      {"nvm.ranks=3", "nvm.ranks=3: must be a power of two"},
+      {"dram.banks=6", "dram.banks=6: must be a power of two"},
+  };
+  for (const auto& [line, expect] : cases) {
+    SystemConfig cfg = SystemConfig::experiment();
+    ASSERT_TRUE(apply_config_line(line, cfg).ok) << line;
+    const std::string error = check_geometry(cfg);
+    EXPECT_NE(error.find(expect), std::string::npos) << line << ": " << error;
+  }
+}
+
 TEST(ConfigIo, AppliesNumericKeys) {
   SystemConfig cfg = SystemConfig::paper();
   std::istringstream is(

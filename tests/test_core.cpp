@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "sim/system.hpp"
 #include "workload/workloads.hpp"
 
@@ -294,6 +297,111 @@ TEST(Core, SpAdrSkipsPcommitStalls) {
   EXPECT_GT(sp_pcommit, 0u);
   EXPECT_EQ(adr_pcommit, 0u);
   EXPECT_LT(adr_cycles, sp_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// Compute runs. The core fetches a slice of a run per cycle into one ROB
+// entry and drains it at retire; the timing must equal a core that
+// fetched, held and retired every compute µop on its own. The expected
+// values below were recorded with such a per-µop core, under TC and SP
+// (which adds log stores, flushes and fences), over compute_latency
+// {1, 3} x rob_entries {8, 128} x issue_width {1, 4}. Only
+// compute_latency > 1 makes stall.compute fire.
+
+constexpr const char* kStallNames[] = {
+    "compute",    "load",       "sb_full", "txend_drain", "txend_flush",
+    "clwb_drain", "clwb_issue", "sfence",  "pcommit"};
+
+struct RunTimingCase {
+  Mechanism mech;
+  unsigned compute_latency;
+  unsigned rob_entries;
+  unsigned issue_width;
+  Cycle end_cycle;
+  std::uint64_t retired;
+  std::array<std::uint64_t, std::size(kStallNames)> stalls;
+};
+
+// Runs of 1, 3, 5 and 640 µops between loads (missing, forwarded and
+// volatile), persistent and volatile stores and transaction boundaries.
+Trace mixed_runs_trace(const AddressSpace& space) {
+  Trace t;
+  auto run = [&t](int n) {
+    for (int i = 0; i < n; ++i) t.push(MicroOp::compute());
+  };
+  for (TxId tx = 1; tx <= 6; ++tx) {
+    const Addr a = space.heap_base() + tx * 4096;
+    run(3);
+    t.push(MicroOp::load(a, true));
+    run(1);
+    t.push(MicroOp::tx_begin(tx));
+    run(5);
+    t.push(MicroOp::store(a, tx, true));
+    t.push(MicroOp::load(a, true));  // forwarded from the SB or ROB
+    run(640);
+    t.push(MicroOp::store(a + 64, tx, true));
+    run(1);
+    t.push(MicroOp::tx_end());
+    run(3);
+    t.push(MicroOp::load(64 * tx, false));
+    t.push(MicroOp::store(128 * tx, tx, false));
+    run(5);
+    if (tx == 3) {
+      // A burst of missing volatile stores fills the store buffer.
+      for (Addr i = 0; i < 80; ++i) {
+        t.push(MicroOp::store((1 << 20) + i * 4096, i, false));
+      }
+    }
+  }
+  return t;
+}
+
+// {mechanism, compute_latency, rob_entries, issue_width,
+//  end cycle, retired µops, stalls in kStallNames order}
+constexpr Mechanism kTc = Mechanism::kTc;
+constexpr Mechanism kSp = Mechanism::kSp;
+constexpr RunTimingCase kRunTimingCases[] = {
+    {kTc, 1, 8, 1, 11432, 4076, {0, 5876, 1394, 0, 0, 0, 0, 0, 0}},
+    {kTc, 1, 8, 4, 8559, 4076, {0, 5979, 1463, 0, 0, 0, 0, 0, 0}},
+    {kTc, 1, 128, 1, 10366, 4076, {0, 332, 1464, 4408, 0, 0, 0, 0, 0}},
+    {kTc, 1, 128, 4, 8253, 4076, {0, 564, 1542, 4904, 0, 0, 0, 0, 0}},
+    {kTc, 3, 8, 1, 11432, 4076, {2, 5874, 1394, 0, 0, 0, 0, 0, 0}},
+    {kTc, 3, 8, 4, 8982, 4076, {982, 5925, 1463, 0, 0, 0, 0, 0, 0}},
+    {kTc, 3, 128, 1, 10366, 4076, {2, 330, 1464, 4408, 0, 0, 0, 0, 0}},
+    {kTc, 3, 128, 4, 8253, 4076, {2, 562, 1542, 4904, 0, 0, 0, 0, 0}},
+    {kSp, 1, 8, 1, 13615, 4154, {0, 5618, 1394, 0, 0, 0, 858, 12, 1486}},
+    {kSp, 1, 8, 4, 10624, 4154, {0, 5669, 1463, 0, 0, 0, 864, 12, 1502}},
+    {kSp, 1, 128, 1, 12340, 4154, {0, 145, 1394, 0, 0, 7, 886, 4377, 1321}},
+    {kSp, 1, 128, 4, 9855, 4154, {0, 157, 1463, 0, 0, 13, 892, 4871, 1341}},
+    {kSp, 3, 8, 1, 13615, 4154, {2, 5616, 1394, 0, 0, 0, 858, 12, 1486}},
+    {kSp, 3, 8, 4, 11108, 4154, {974, 5663, 1462, 0, 0, 0, 864, 12, 1500}},
+    {kSp, 3, 128, 1, 12340, 4154, {2, 143, 1394, 0, 0, 7, 886, 4377, 1321}},
+    {kSp, 3, 128, 4, 9855, 4154, {2, 155, 1463, 0, 0, 13, 892, 4871, 1341}},
+};
+
+TEST(CoreRuns, TimingMatchesThePerUopCore) {
+  for (const RunTimingCase& c : kRunTimingCases) {
+    const std::string row = std::string(to_string(c.mech)) + " latency " +
+                            std::to_string(c.compute_latency) + " rob " +
+                            std::to_string(c.rob_entries) + " width " +
+                            std::to_string(c.issue_width);
+    SCOPED_TRACE(row);
+    SystemConfig cfg = tiny(c.mech);
+    cfg.core.compute_latency = c.compute_latency;
+    cfg.core.rob_entries = c.rob_entries;
+    cfg.core.issue_width = c.issue_width;
+    System sys(cfg);
+    sys.load_trace(0, mixed_runs_trace(cfg.address_space));
+    sys.run();
+    EXPECT_EQ(sys.now(), c.end_cycle);
+    EXPECT_EQ(sys.stats().counter_value("core0.retired"), c.retired);
+    for (std::size_t i = 0; i < std::size(kStallNames); ++i) {
+      EXPECT_EQ(sys.stats().counter_value(std::string("core0.stall.") +
+                                          kStallNames[i]),
+                c.stalls[i])
+          << kStallNames[i];
+    }
+  }
 }
 
 }  // namespace

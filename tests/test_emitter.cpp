@@ -26,12 +26,13 @@ TEST_F(EmitterTest, TxBracketsAndIds) {
 
   const core::Trace t = em_.take_combined();
   ASSERT_EQ(t.size(), 5u);
-  EXPECT_EQ(t[0].kind, OpKind::kTxBegin);
-  EXPECT_EQ(t[0].value, 1u);
-  EXPECT_EQ(t[1].kind, OpKind::kStore);
-  EXPECT_TRUE(t[1].persistent);
-  EXPECT_EQ(t[2].kind, OpKind::kTxEnd);
-  EXPECT_EQ(t[3].value, 2u);
+  ASSERT_EQ(t.ops().size(), 5u);
+  EXPECT_EQ(t.ops()[0].kind, OpKind::kTxBegin);
+  EXPECT_EQ(t.ops()[0].value, 1u);
+  EXPECT_EQ(t.ops()[1].kind, OpKind::kStore);
+  EXPECT_TRUE(t.ops()[1].persistent);
+  EXPECT_EQ(t.ops()[2].kind, OpKind::kTxEnd);
+  EXPECT_EQ(t.ops()[3].value, 2u);
 }
 
 TEST_F(EmitterTest, JournalMirrorsPersistentStores) {
@@ -49,7 +50,7 @@ TEST_F(EmitterTest, VolatileStoresNotJournaled) {
   em_.end_tx();
   EXPECT_TRUE(journal_.per_core(0)[0].writes.empty());
   const core::Trace t = em_.take_combined();
-  EXPECT_FALSE(t[1].persistent);
+  EXPECT_FALSE(t.ops()[1].persistent);
 }
 
 TEST_F(EmitterTest, PersistentStoreOutsideTxAborts) {
@@ -60,13 +61,23 @@ TEST_F(EmitterTest, LoadsCarryPersistenceFlag) {
   em_.load(p_);
   em_.load(128);
   const core::Trace t = em_.take_combined();
-  EXPECT_TRUE(t[0].persistent);
-  EXPECT_FALSE(t[1].persistent);
+  EXPECT_TRUE(t.ops()[0].persistent);
+  EXPECT_FALSE(t.ops()[1].persistent);
 }
 
 TEST_F(EmitterTest, ComputeEmitsN) {
   em_.compute(3);
   EXPECT_EQ(em_.trace().count(OpKind::kCompute), 3u);
+}
+
+TEST_F(EmitterTest, ComputeIsOneRunRecord) {
+  em_.compute(0);
+  EXPECT_TRUE(em_.trace().empty());
+  em_.compute(640);
+  em_.compute(8);
+  ASSERT_EQ(em_.trace().ops().size(), 1u);
+  EXPECT_EQ(em_.trace().ops()[0].count, 648u);
+  EXPECT_EQ(em_.trace().size(), 648u);
 }
 
 }  // namespace

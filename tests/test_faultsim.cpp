@@ -184,6 +184,11 @@ TEST(Minimizer, ConvergesOnEagerCommitMutant) {
   EXPECT_LT(r.min_txs, r.total_txs)
       << "minimizer failed to shrink the reproducer";
   EXPECT_GT(r.min_uops, 0u);
+  // The prefix's µop count, as recorded when traces held one record per
+  // µop: runs shrink the trace, not what size() reports.
+  EXPECT_EQ(r.total_txs, 98u);
+  EXPECT_EQ(r.min_txs, 1u);
+  EXPECT_EQ(r.min_uops, 58u);
 
   // The minimized prefix is a real reproducer: rerunning the same spec is
   // deterministic, so the report carries an actionable repro command.

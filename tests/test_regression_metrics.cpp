@@ -136,6 +136,20 @@ TEST(RegressionMetrics, EventQueuePushesStayProportionalToWork) {
   }
 }
 
+// Compute padding is stored as runs: a measured sps trace at the default
+// parameters is ~99% compute µops, so it must hold at most one record per
+// 50 µops (one record per µop would be 50x over).
+TEST(RegressionMetrics, ComputeRunsKeepTracesSmall) {
+  const AddressSpace space;
+  workload::SimHeap heap(space, 1);
+  const workload::TraceBundle b = workload::generate_phased(
+      workload::default_params(WorkloadKind::kSps), 0, heap, nullptr);
+  ASSERT_GT(b.measured.size(), 0u);
+  EXPECT_LE(b.measured.ops().size() * 50, b.measured.size())
+      << b.measured.ops().size() << " records for " << b.measured.size()
+      << " uops";
+}
+
 // The qualitative paper ordering, pinned as a regression property.
 TEST(RegressionMetrics, MechanismOrderingIsStable) {
   std::map<Mechanism, Cycle> cycles;

@@ -65,8 +65,8 @@ TEST(ServiceStamp, SameSeedSameStream) {
   core::Trace b = three_tx_trace();
   workload::stamp_service_arrivals(a, open_loop(1.0), 0, 7);
   workload::stamp_service_arrivals(b, open_loop(1.0), 0, 7);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].addr, b[i].addr) << "op " << i;
+  for (std::size_t i = 0; i < a.ops().size(); ++i) {
+    EXPECT_EQ(a.ops()[i].addr, b.ops()[i].addr) << "op " << i;
   }
 }
 
@@ -76,8 +76,8 @@ TEST(ServiceStamp, DistinctCoresGetDistinctStreams) {
   workload::stamp_service_arrivals(a, open_loop(1.0), 0, 7);
   workload::stamp_service_arrivals(b, open_loop(1.0), 1, 7);
   bool any_difference = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    any_difference |= a[i].addr != b[i].addr;
+  for (std::size_t i = 0; i < a.ops().size(); ++i) {
+    any_difference |= a.ops()[i].addr != b.ops()[i].addr;
   }
   EXPECT_TRUE(any_difference);
 }

@@ -56,11 +56,12 @@ TEST(SpTransform, SingleRoundVariantHasOnePcommit) {
 TEST(SpTransform, DataStoresComeAfterSecondPcommit) {
   const AddressSpace s = space();
   const Trace out = transform_sp(simple_tx_trace(2), 0, s);
-  std::size_t last_pcommit = 0, first_data_store = out.size();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i].kind == OpKind::kPcommit) last_pcommit = i;
-    if (out[i].kind == OpKind::kStore && out[i].addr < s.log_base(0) &&
-        first_data_store == out.size()) {
+  const std::vector<MicroOp>& ops = out.ops();
+  std::size_t last_pcommit = 0, first_data_store = ops.size();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == OpKind::kPcommit) last_pcommit = i;
+    if (ops[i].kind == OpKind::kStore && ops[i].addr < s.log_base(0) &&
+        first_data_store == ops.size()) {
       first_data_store = i;
     }
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "workload/workloads.hpp"
@@ -31,12 +34,16 @@ TEST(TraceIo, RoundTripPreservesEveryField) {
   const auto r = read_trace(ss, out);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(out.size(), in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i].kind, in[i].kind) << "op " << i;
-    EXPECT_EQ(out[i].flush, in[i].flush) << "op " << i;
-    EXPECT_EQ(out[i].persistent, in[i].persistent) << "op " << i;
-    EXPECT_EQ(out[i].addr, in[i].addr) << "op " << i;
-    EXPECT_EQ(out[i].value, in[i].value) << "op " << i;
+  ASSERT_EQ(out.ops().size(), in.ops().size());
+  for (std::size_t i = 0; i < in.ops().size(); ++i) {
+    const MicroOp& o = out.ops()[i];
+    const MicroOp& e = in.ops()[i];
+    EXPECT_EQ(o.kind, e.kind) << "op " << i;
+    EXPECT_EQ(o.flush, e.flush) << "op " << i;
+    EXPECT_EQ(o.persistent, e.persistent) << "op " << i;
+    EXPECT_EQ(o.addr, e.addr) << "op " << i;
+    EXPECT_EQ(o.value, e.value) << "op " << i;
+    EXPECT_EQ(o.count, e.count) << "op " << i;
   }
 }
 
@@ -125,10 +132,37 @@ TEST(TraceIo, WorkloadTraceRoundTripsExactly) {
   ASSERT_TRUE(read_trace(ss, out).ok);
   ASSERT_EQ(out.size(), in.size());
   EXPECT_EQ(out.transactions(), in.transactions());
-  for (std::size_t i = 0; i < in.size(); i += 97) {  // spot-check
-    EXPECT_EQ(out[i].addr, in[i].addr);
-    EXPECT_EQ(out[i].value, in[i].value);
+  ASSERT_EQ(out.ops().size(), in.ops().size());
+  for (std::size_t i = 0; i < in.ops().size(); i += 97) {  // spot-check
+    EXPECT_EQ(out.ops()[i].addr, in.ops()[i].addr);
+    EXPECT_EQ(out.ops()[i].value, in.ops()[i].value);
+    EXPECT_EQ(out.ops()[i].count, in.ops()[i].count);
   }
+}
+
+// The on-disk format stays v1, one 24-byte record per µop: a compute run
+// is written out op by op. Size and FNV-1a checksum of this file were
+// recorded when traces held one record per µop.
+TEST(TraceIo, SavedBtreeTraceKeepsItsBytes) {
+  AddressSpace space;
+  workload::SimHeap heap(space, 1);
+  workload::WorkloadParams p = workload::default_params(WorkloadKind::kBtree);
+  p.setup_elems = 200;
+  p.ops = 50;
+  const Trace in = workload::generate(p, 0, heap, nullptr);
+  EXPECT_EQ(in.size(), 26213u);
+  EXPECT_LT(in.ops().size(), in.size());
+  const std::string path = ::testing::TempDir() + "/ntcsim_btree_trace.bin";
+  ASSERT_TRUE(save_trace(path, in).ok);
+  std::ifstream f(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(f),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(bytes.size(), 16u + 24u * 26213u);
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    fnv = (fnv ^ c) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(fnv, 0xc229a41995de95e3ULL);
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -23,8 +23,8 @@ void check_trace(const Trace& t, const AddressSpace& space) {
   ASSERT_GT(t.size(), 0u);
   bool in_tx = false;
   TxId expect = 1;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const auto& op = t[i];
+  for (std::size_t i = 0; i < t.ops().size(); ++i) {
+    const auto& op = t.ops()[i];
     switch (op.kind) {
       case OpKind::kTxBegin:
         ASSERT_FALSE(in_tx) << "nested tx at op " << i;
@@ -47,6 +47,9 @@ void check_trace(const Trace& t, const AddressSpace& space) {
         ASSERT_EQ(op.persistent, space.is_persistent(op.addr));
         break;
       case OpKind::kCompute:
+        ASSERT_GT(op.count, 0u) << "empty compute run at record " << i;
+        ASSERT_FALSE(i > 0 && t.ops()[i - 1].kind == OpKind::kCompute)
+            << "adjacent compute runs at record " << i;
         break;
       default:
         FAIL() << "raw workload traces must not contain fences/flushes";
@@ -70,9 +73,11 @@ TEST_P(WorkloadTest, DeterministicForSameSeed) {
   const Trace a = generate(small(GetParam()), 0, h1, nullptr);
   const Trace b = generate(small(GetParam()), 0, h2, nullptr);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].addr, b[i].addr) << "op " << i;
-    EXPECT_EQ(a[i].value, b[i].value) << "op " << i;
+  ASSERT_EQ(a.ops().size(), b.ops().size());
+  for (std::size_t i = 0; i < a.ops().size(); ++i) {
+    EXPECT_EQ(a.ops()[i].addr, b.ops()[i].addr) << "op " << i;
+    EXPECT_EQ(a.ops()[i].value, b.ops()[i].value) << "op " << i;
+    EXPECT_EQ(a.ops()[i].count, b.ops()[i].count) << "op " << i;
   }
 }
 

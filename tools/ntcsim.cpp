@@ -212,6 +212,11 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     return false;
   }
   sim::apply_env_knobs(cli.opts);
+  if (const std::string geometry = sim::check_geometry(cli.cfg);
+      !geometry.empty()) {
+    std::fprintf(stderr, "%s\n", geometry.c_str());
+    return false;
+  }
 
   cli.cfg.mechanism = cli.mechanism;
   cli.params = workload::default_params(cli.workload);
