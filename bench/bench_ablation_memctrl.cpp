@@ -40,12 +40,10 @@ int main(int argc, char** argv) {
   std::cout << "Ablation: write-drain high watermark (sps)\n\n";
   std::size_t i = 0;
   for (Mechanism mech : kMechs) {
-    Table t({"watermark", "tx/kcycle", "pload latency", "drain entries"});
+    Table t({"watermark", "tx/kcycle", "pload latency"});
     for (double w : kWatermarks) {
       const sim::Metrics& m = cells[i++];
-      t.add_row(Table::fmt(w, 2),
-                {m.tx_per_kilocycle, m.pload_latency,
-                 0.0});  // drain count not in Metrics; kept for layout
+      t.add_row(Table::fmt(w, 2), {m.tx_per_kilocycle, m.pload_latency});
     }
     std::cout << to_string(mech) << ":\n";
     t.print(std::cout);

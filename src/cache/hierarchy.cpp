@@ -155,10 +155,9 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
     if (done) m.waiters.push_back(std::move(done));
     misses.emplace(line, std::move(m));
     it->second.persistent |= persistent;
-    if (std::find_if(it->second.fills.begin(), it->second.fills.end(),
-                     [core](const auto& p) { return p.first == core; }) ==
-        it->second.fills.end()) {
-      it->second.fills.emplace_back(core, DoneFn{});
+    std::vector<CoreId>& fills = it->second.fills;
+    if (std::find(fills.begin(), fills.end(), core) == fills.end()) {
+      fills.push_back(core);
     }
     return true;
   }
@@ -179,7 +178,7 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
   LlcMiss lm;
   lm.line = line;
   lm.persistent = persistent;
-  lm.fills.emplace_back(core, DoneFn{});
+  lm.fills.push_back(core);
   auto [lit, _] = llc_miss_.emplace(line, std::move(lm));
 
   // TC side path: a persistent LLC miss probes the transaction cache in
@@ -236,15 +235,14 @@ void Hierarchy::complete_llc_miss(Addr line) {
   LlcMiss miss = std::move(it->second);
   llc_miss_.erase(it);
 
-  const bool allocated =
-      fill_llc(miss.fills.front().first, line, miss.persistent);
+  const bool allocated = fill_llc(miss.fills.front(), line, miss.persistent);
   if (allocated) {
     if (Line* ll = llc_.lookup(line, /*touch=*/false)) {
-      for (const auto& [core, _] : miss.fills) ll->presence |= 1u << core;
+      for (const CoreId core : miss.fills) ll->presence |= 1u << core;
     }
   }
 
-  for (const auto& [core, _] : miss.fills) {
+  for (const CoreId core : miss.fills) {
     auto mit = l1_miss_[core].find(line);
     if (mit == l1_miss_[core].end()) continue;
     L1Miss m = std::move(mit->second);

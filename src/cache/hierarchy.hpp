@@ -121,8 +121,9 @@ class Hierarchy {
     Addr line = 0;
     bool persistent = false;
     bool needs_issue = false;  ///< Read not yet accepted by the controller.
-    /// (core, extra latency below LLC) pairs to fill on completion.
-    std::vector<std::pair<CoreId, DoneFn>> fills;
+    /// Cores whose private levels fill on completion (the first allocated
+    /// the miss).
+    std::vector<CoreId> fills;
   };
 
   /// Common load/store entry; returns false on resource exhaustion.

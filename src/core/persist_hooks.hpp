@@ -1,10 +1,9 @@
 // Core-facing slice of a persistence domain (persist::PersistenceDomain).
 // The core model knows nothing about which mechanism is installed: every
 // mechanism-specific decision at a store, TX_BEGIN or TX_END is delegated
-// through this interface. Keeping the abstract class here (like
-// CommitEngine) avoids a core <-> persist dependency cycle: ntc_persist
-// links ntc_core, so the core can only ever see persistence through an
-// abstract hook.
+// through this interface. Keeping the abstract class here avoids a
+// core <-> persist dependency cycle: ntc_persist links ntc_core, so the
+// core can only ever see persistence through an abstract hook.
 #pragma once
 
 #include "common/types.hpp"

@@ -1,6 +1,7 @@
 #include "faultsim/campaign.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -33,11 +34,8 @@ CellInputs make_inputs(const SystemConfig& cfg, const CellSpec& spec,
   CellInputs in(cfg.cores);
   in.traces.resize(nodes);
   workload::WorkloadParams base = workload::default_params(spec.wl);
-  // Footprint must exceed the preset's LLC so dirty evictions — the crash
-  // hazard software schemes must survive — actually happen; sps elements
-  // are a single word, so that workload needs a larger index range.
-  base.setup_elems = static_cast<std::size_t>(cfg.crash.setup) *
-                     (spec.wl == WorkloadKind::kSps ? 7 : 1);
+  base.setup_elems = setup_elems(cfg, spec.wl);
+  NTC_ASSERT(base.setup_elems > 0, "crash.setup overflows the setup size");
   base.ops =
       static_cast<std::size_t>(std::max<std::uint64_t>(1, cfg.crash.ops));
   for (NodeId n = 0; n < nodes; ++n) {
@@ -213,12 +211,15 @@ std::vector<CellSpec> make_cells(const std::vector<VariantSpec>& variants,
   return cells;
 }
 
-std::vector<CellSpec> default_cells(const SystemConfig& cfg) {
-  std::vector<std::uint64_t> seeds;
-  for (unsigned s = 1; s <= std::max(1u, cfg.crash.seeds); ++s) {
-    seeds.push_back(s);
+std::uint64_t setup_elems(const SystemConfig& cfg, WorkloadKind wl) {
+  // Footprint must exceed the preset's LLC so dirty evictions — the crash
+  // hazard software schemes must survive — actually happen; sps elements
+  // are a single word, so that workload needs a larger index range.
+  const std::uint64_t factor = wl == WorkloadKind::kSps ? 7 : 1;
+  if (cfg.crash.setup > std::numeric_limits<std::uint64_t>::max() / factor) {
+    return 0;
   }
-  return make_cells(default_variants(), default_workloads(), seeds);
+  return cfg.crash.setup * factor;
 }
 
 CellResult run_cell(const SystemConfig& base, const CellSpec& spec,

@@ -119,8 +119,9 @@ std::vector<CellSpec> make_cells(const std::vector<VariantSpec>& variants,
                                  const std::vector<WorkloadKind>& workloads,
                                  const std::vector<std::uint64_t>& seeds);
 
-/// make_cells over the defaults, seeds 1..cfg.crash.seeds.
-std::vector<CellSpec> default_cells(const SystemConfig& cfg);
+/// Setup elements a cell of `wl` builds: cfg.crash.setup, seven times that
+/// for sps. 0 when the product overflows (drivers reject the campaign).
+std::uint64_t setup_elems(const SystemConfig& cfg, WorkloadKind wl);
 
 /// Run one cell (plan + replay + optional minimize). Exposed for tests.
 CellResult run_cell(const SystemConfig& cfg, const CellSpec& spec,

@@ -43,7 +43,7 @@ CrashPlan plan_cell(const SystemConfig& cfg, const sim::SystemOptions& opts,
   EventRecorder recorder(
       sys.node(crash_node).domain().crash_profile().hazard_mask,
       sys.cycle_counter());
-  sys.tap_events(crash_node, &recorder);
+  sys.node(crash_node).tap_events(&recorder);
   for (NodeId n = 0; n < node_traces.size() && n < sys.nodes(); ++n) {
     for (CoreId c = 0; c < cfg.cores; ++c) {
       sys.load_trace(n, c, node_traces[n][c]);

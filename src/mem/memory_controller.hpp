@@ -49,7 +49,6 @@ class MemoryController {
 
   bool read_queue_full() const { return read_q_.size() >= cfg_.read_queue; }
   bool write_queue_full() const { return write_q_.size() >= cfg_.write_queue; }
-  std::size_t pending_reads() const { return read_q_.size(); }
   std::size_t pending_writes() const { return write_q_.size(); }
   bool idle() const { return read_q_.empty() && write_q_.empty() && in_flight_ == 0; }
 

@@ -5,8 +5,9 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "persist/kiln_unit.hpp"
+#include "persist/tc_domain.hpp"
 #include "recovery/recovery.hpp"
-#include "txcache/tx_cache.hpp"
 
 namespace ntcsim::persist {
 
@@ -89,122 +90,6 @@ class SpAdrDomain final : public SpDomain {
 };
 
 // ---------------------------------------------------------------------------
-// TC — the paper's nonvolatile transaction cache. Persistent in-tx stores
-// are ALSO inserted into the per-core NTC as they drain; TX_END waits only
-// for the store buffer to drain and then sends a non-blocking commit
-// request. The only stall the mechanism adds is a full NTC (§5.2).
-class TcDomain final : public PersistenceDomain {
- public:
-  TcDomain() : PersistenceDomain(make_policy()) {}
-  std::string_view name() const override { return "tc"; }
-
-  check::CheckerRules checker_rules() const override { return tc_rules(); }
-
-  /// Shared with tc-nodrain (identical data path): the NTC drain is the
-  /// only writer of persistent heap data, drains leave in per-core FIFO
-  /// order, only committed transactions drain, and a persistent NVM read
-  /// of an NTC-held line must have probed the NTC.
-  static check::CheckerRules tc_rules() {
-    check::CheckerRules r;
-    r.single_writer = true;
-    r.allowed_heap_sources = check::source_bit(mem::Source::kTxCache);
-    r.fifo_drain = true;
-    r.no_stale_read = true;
-    r.no_uncommitted = true;
-    return r;
-  }
-
-  CrashProfile crash_profile() const override { return tc_crash_profile(); }
-
-  /// Shared with tc-nodrain: the dangerous instants are the NTC state
-  /// transitions (commit CAM match, drain issue, entry release), the LLC
-  /// dropping a persistent write-back, and the commit point itself.
-  static CrashProfile tc_crash_profile() {
-    CrashProfile p;
-    p.hazard_mask = check::event_bit(check::EventKind::kNtcCommit) |
-                    check::event_bit(check::EventKind::kNtcDrainIssue) |
-                    check::event_bit(check::EventKind::kNtcRelease) |
-                    check::event_bit(check::EventKind::kLlcWritebackDropped) |
-                    check::event_bit(check::EventKind::kTxCommitted);
-    p.expect_consistent = true;
-    return p;
-  }
-
-  void bind(const DomainWiring& wiring) override {
-    NTC_ASSERT(!wiring.ntcs.empty(),
-               "TC mechanism requires a transaction cache");
-    PersistenceDomain::bind(wiring);
-    state_.assign(wiring.cfg->cores, {});
-  }
-
-  core::PersistCoreTraits core_traits() const override {
-    core::PersistCoreTraits t;
-    t.routes_tx_stores = true;
-    t.observes_tx_stores = true;
-    return t;
-  }
-
-  void on_tx_begin(CoreId core, TxId tx) override {
-    state_[core] = {tx, 0};
-  }
-
-  void on_store_retired(CoreId core, TxId /*tx*/) override {
-    ++state_[core].pending;
-  }
-
-  core::StoreRoute route_store(Cycle now, CoreId core, Addr addr, Word value,
-                               TxId tx) override {
-    txcache::TxCache* ntc = wiring().ntcs[core];
-    if (ntc->write(now, addr, value, tx)) return core::StoreRoute::kAccepted;
-    // Capacity rejects are the paper's §5.2 stall metric; port-rate pacing
-    // at slow CAM latencies is reported separately by the NTC.
-    return (ntc->full() || ntc->overflow_imminent())
-               ? core::StoreRoute::kRetryCapacity
-               : core::StoreRoute::kRetry;
-  }
-
-  void on_store_drained(Cycle /*now*/, CoreId core, Addr /*addr*/,
-                        Word /*value*/, TxId tx) override {
-    PerCore& pc = state_[core];
-    if (pc.pending > 0 && tx == pc.tx) --pc.pending;
-  }
-
-  core::TxEndResult on_tx_end(Cycle /*now*/, CoreId core, TxId tx) override {
-    if (state_[core].pending > 0) {
-      return core::TxEndResult::kStallDrain;  // all tx stores into the NTC first
-    }
-    wiring().ntcs[core]->commit(tx);
-    return core::TxEndResult::kCommitted;
-  }
-
-  recovery::WordImage recover(
-      const recovery::DurableState& durable) const override {
-    std::vector<recovery::NtcSnapshot> snaps;
-    snaps.reserve(wiring().ntcs.size());
-    for (const txcache::TxCache* n : wiring().ntcs) {
-      snaps.push_back(n->snapshot());
-    }
-    return recovery::recover_tc(durable, snaps);
-  }
-
-  static Policy make_policy() {
-    Policy p;
-    p.route_stores_to_ntc = true;
-    p.drop_persistent_llc_writeback = true;
-    p.probe_ntc_on_llc_miss = true;
-    p.needs_recovery_images = true;
-    return p;
-  }
-
- private:
-  struct PerCore {
-    TxId tx = kNoTx;
-    unsigned pending = 0;  ///< Current-tx stores not yet drained.
-  };
-  std::vector<PerCore> state_;
-};
-
-// ---------------------------------------------------------------------------
 // Kiln — nonvolatile LLC, blocking flush-on-commit. The domain tracks the
 // per-core count of in-tx stores still in the store buffer (TX_END may only
 // fire the commit engine once they all reached the L1) and gates loads
@@ -234,7 +119,7 @@ class KilnDomain final : public PersistenceDomain {
   }
 
   void bind(const DomainWiring& wiring) override {
-    NTC_ASSERT(wiring.engine != nullptr,
+    NTC_ASSERT(wiring.kiln != nullptr,
                "Kiln mechanism requires a commit engine");
     PersistenceDomain::bind(wiring);
     pending_.assign(wiring.cfg->cores, 0);
@@ -251,12 +136,12 @@ class KilnDomain final : public PersistenceDomain {
   // subsequent cache and memory requests", §5.2) — no new loads issue
   // until the flush into the NV-LLC completes.
   bool loads_blocked(CoreId core) const override {
-    return !wiring().engine->commit_done(core);
+    return !wiring().kiln->commit_done(core);
   }
 
   void on_tx_begin(CoreId core, TxId tx) override {
     pending_[core] = 0;
-    wiring().engine->begin_tx(core, tx);
+    wiring().kiln->begin_tx(core, tx);
   }
 
   void on_store_retired(CoreId core, TxId /*tx*/) override {
@@ -265,7 +150,7 @@ class KilnDomain final : public PersistenceDomain {
 
   void on_store_drained(Cycle now, CoreId core, Addr addr, Word value,
                         TxId tx) override {
-    wiring().engine->on_store(now, core, addr, value, tx);
+    wiring().kiln->on_store(now, core, addr, value, tx);
     if (pending_[core] > 0) --pending_[core];
   }
 
@@ -274,10 +159,10 @@ class KilnDomain final : public PersistenceDomain {
     // Commits are serialized per core: the flush of the previous
     // transaction must have completed before this one may start; the
     // flush itself runs in the background.
-    if (!wiring().engine->commit_done(core)) {
+    if (!wiring().kiln->commit_done(core)) {
       return core::TxEndResult::kStallFlush;
     }
-    wiring().engine->begin_commit(now, core, tx);
+    wiring().kiln->begin_commit(now, core, tx);
     return core::TxEndResult::kCommitted;
   }
 

@@ -33,7 +33,6 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "core/commit_engine.hpp"
 #include "core/persist_hooks.hpp"
 #include "persist/policy.hpp"
 #include "recovery/images.hpp"
@@ -44,6 +43,7 @@ class TxCache;
 
 namespace ntcsim::persist {
 
+class KilnUnit;    // kiln_unit.hpp
 struct SpOptions;  // sp_transform.hpp
 
 /// Everything a domain may bind to, handed over by the System after it has
@@ -53,8 +53,8 @@ struct DomainWiring {
   const NodeConfig* cfg = nullptr;
   /// One per core when policy().route_stores_to_ntc, else empty.
   std::vector<txcache::TxCache*> ntcs;
-  /// The commit engine when policy().flush_on_commit, else null.
-  core::CommitEngine* engine = nullptr;
+  /// The Kiln commit engine when policy().flush_on_commit, else null.
+  KilnUnit* kiln = nullptr;
   /// Per-domain statistics registration.
   StatSet* stats = nullptr;
 };

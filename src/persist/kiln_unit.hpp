@@ -19,20 +19,22 @@
 #include "common/stat_handle.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "core/commit_engine.hpp"
 #include "recovery/images.hpp"
 
 namespace ntcsim::persist {
 
-class KilnUnit final : public core::CommitEngine {
+class KilnUnit {
  public:
   KilnUnit(unsigned cores, const KilnConfig& cfg, cache::Hierarchy& hier,
            EventQueue& events, recovery::DurableState* durable, StatSet& stats);
 
-  void begin_tx(CoreId core, TxId tx) override;
-  void on_store(Cycle now, CoreId core, Addr addr, Word value, TxId tx) override;
-  void begin_commit(Cycle now, CoreId core, TxId tx) override;
-  bool commit_done(CoreId core) const override;
+  void begin_tx(CoreId core, TxId tx);
+  /// A persistent in-transaction store drained from the store buffer.
+  void on_store(Cycle now, CoreId core, Addr addr, Word value, TxId tx);
+  /// TX_END reached with all stores drained: start the commit.
+  void begin_commit(Cycle now, CoreId core, TxId tx);
+  /// True once the in-flight commit of `core` has completed.
+  bool commit_done(CoreId core) const;
 
   /// Issue NVM clean-backs of committed NV-LLC lines; a line stays pinned
   /// in the LLC until its clean-back completes, so under sustained commit

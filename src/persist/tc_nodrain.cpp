@@ -10,95 +10,49 @@
 //
 // This file is the registry-seam proof for the PersistenceDomain layer: a
 // whole new mechanism in one file under src/persist/, registered from the
-// registry bootstrap — no edits to core/, cache/, sim/ or mem/. It appears
-// automatically in --list-mechanisms, --matrix and the sweep CSVs.
+// registry bootstrap — no edits to core/, cache/, sim/ or mem/. It derives
+// from TcDomain (tc_domain.hpp) and overrides only the commit handshake.
+// It appears automatically in --list-mechanisms, --matrix and the sweep
+// CSVs.
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/stat_handle.hpp"
-#include "persist/domain.hpp"
-#include "recovery/recovery.hpp"
-#include "txcache/tx_cache.hpp"
+#include "persist/tc_domain.hpp"
 
 namespace ntcsim::persist {
 
 namespace {
 
-Policy tc_nodrain_policy() {
-  Policy p;
-  p.route_stores_to_ntc = true;
-  p.drop_persistent_llc_writeback = true;
-  p.probe_ntc_on_llc_miss = true;
-  p.needs_recovery_images = true;
-  return p;
-}
-
-class TcNodrainDomain final : public PersistenceDomain {
+// TC's checker rules and crash hazards hold unchanged: the deferred commit
+// request always reaches the NTC at or before the last drain, so
+// committed-only draining still holds, and the lazy commit just moves
+// kNtcCommit. A transaction whose deferred commit had not reached the NTC
+// at crash time is discarded whole by TC's recovery — still all-or-nothing,
+// one prefix shorter.
+class TcNodrainDomain final : public TcDomain {
  public:
-  TcNodrainDomain() : PersistenceDomain(tc_nodrain_policy()) {}
   std::string_view name() const override { return "tc-nodrain"; }
 
-  check::CheckerRules checker_rules() const override {
-    // TC's invariants verbatim: the data path is identical, only the
-    // TX_END handshake is lazy — and the deferred commit request always
-    // reaches the NTC at or before the last drain, so committed-only
-    // draining still holds.
-    check::CheckerRules r;
-    r.single_writer = true;
-    r.allowed_heap_sources = check::source_bit(mem::Source::kTxCache);
-    r.fifo_drain = true;
-    r.no_stale_read = true;
-    r.no_uncommitted = true;
-    return r;
-  }
-
-  CrashProfile crash_profile() const override {
-    // TC's hazards verbatim: the same NTC transitions bound the same
-    // crash-vulnerability windows, the lazy commit just moves kNtcCommit.
-    CrashProfile p;
-    p.hazard_mask = check::event_bit(check::EventKind::kNtcCommit) |
-                    check::event_bit(check::EventKind::kNtcDrainIssue) |
-                    check::event_bit(check::EventKind::kNtcRelease) |
-                    check::event_bit(check::EventKind::kLlcWritebackDropped) |
-                    check::event_bit(check::EventKind::kTxCommitted);
-    p.expect_consistent = true;
-    return p;
-  }
-
   void bind(const DomainWiring& wiring) override {
-    NTC_ASSERT(!wiring.ntcs.empty(),
-               "TC-NODRAIN mechanism requires a transaction cache");
-    PersistenceDomain::bind(wiring);
-    state_.assign(wiring.cfg->cores, {});
+    TcDomain::bind(wiring);
+    lazy_.assign(wiring.cfg->cores, {});
     stat_lazy_commits_ =
         CounterHandle(*wiring.stats, "tc_nodrain.lazy_commits");
   }
 
-  core::PersistCoreTraits core_traits() const override {
-    core::PersistCoreTraits t;
-    t.routes_tx_stores = true;
-    t.observes_tx_stores = true;
-    return t;
-  }
+  // TX_END does not wait for a drain, so TC's per-transaction count is
+  // not kept; pending stores are counted per open transaction instead.
+  void on_tx_begin(CoreId /*core*/, TxId /*tx*/) override {}
 
   void on_store_retired(CoreId core, TxId tx) override {
-    ++state_[core].pending[tx];
-  }
-
-  core::StoreRoute route_store(Cycle now, CoreId core, Addr addr, Word value,
-                               TxId tx) override {
-    txcache::TxCache* ntc = wiring().ntcs[core];
-    if (ntc->write(now, addr, value, tx)) return core::StoreRoute::kAccepted;
-    return (ntc->full() || ntc->overflow_imminent())
-               ? core::StoreRoute::kRetryCapacity
-               : core::StoreRoute::kRetry;
+    ++lazy_[core].pending[tx];
   }
 
   void on_store_drained(Cycle /*now*/, CoreId core, Addr /*addr*/,
                         Word /*value*/, TxId tx) override {
-    PerCore& pc = state_[core];
+    PerCore& pc = lazy_[core];
     const auto it = pc.pending.find(tx);
     if (it == pc.pending.end()) return;
     if (--it->second > 0) return;
@@ -116,26 +70,13 @@ class TcNodrainDomain final : public PersistenceDomain {
   // `tx` is final — either everything already drained (commit now) or the
   // commit is deferred to the last drain.
   core::TxEndResult on_tx_end(Cycle /*now*/, CoreId core, TxId tx) override {
-    PerCore& pc = state_[core];
+    PerCore& pc = lazy_[core];
     if (pc.pending.find(tx) == pc.pending.end()) {
       wiring().ntcs[core]->commit(tx);
     } else {
       pc.ended.insert(tx);
     }
     return core::TxEndResult::kCommitted;
-  }
-
-  recovery::WordImage recover(
-      const recovery::DurableState& durable) const override {
-    // TC recovery verbatim: replay committed NTC entries in FIFO order. A
-    // transaction whose deferred commit had not reached the NTC at crash
-    // time is discarded whole — still all-or-nothing, one prefix shorter.
-    std::vector<recovery::NtcSnapshot> snaps;
-    snaps.reserve(wiring().ntcs.size());
-    for (const txcache::TxCache* n : wiring().ntcs) {
-      snaps.push_back(n->snapshot());
-    }
-    return recovery::recover_tc(durable, snaps);
   }
 
  private:
@@ -146,7 +87,7 @@ class TcNodrainDomain final : public PersistenceDomain {
     /// Transactions past TX_END whose commit request is still deferred.
     std::unordered_set<TxId> ended;
   };
-  std::vector<PerCore> state_;
+  std::vector<PerCore> lazy_;
   CounterHandle stat_lazy_commits_;
 };
 
@@ -155,7 +96,7 @@ class TcNodrainDomain final : public PersistenceDomain {
 void register_tc_nodrain(DomainRegistry& registry) {
   registry.add({kAutoMechanismId, "tc-nodrain", "TC-NODRAIN",
                 "eADR-style TC: battery-backed NTC, commit acks immediately",
-                {"tcnodrain"}, 4, tc_nodrain_policy(),
+                {"tcnodrain"}, 4, TcDomain::make_policy(),
                 [] { return std::make_unique<TcNodrainDomain>(); }});
 }
 

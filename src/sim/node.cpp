@@ -66,7 +66,7 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
     persist::DomainWiring wiring;
     wiring.cfg = &cfg_;
     for (auto& n : ntcs_) wiring.ntcs.push_back(n.get());
-    wiring.engine = kiln_.get();
+    wiring.kiln = kiln_.get();
     wiring.stats = &stats_;
     domain_->bind(wiring);
   }
@@ -218,104 +218,69 @@ recovery::WordImage Node::crash_and_recover() const {
   return domain_->recover(*durable_);
 }
 
-Metrics Node::metrics(Cycle cycles) const {
+void Node::add_raw(NodeRaw& into) const {
+  for (unsigned c = 0; c < cfg_.cores; ++c) {
+    into.retired += m_retired_[c]->value();
+    into.txs += m_txs_[c]->value();
+    into.pload_sum += m_pload_lat_[c]->sum();
+    into.pload_n += m_pload_lat_[c]->count();
+    into.req_sum += m_req_lat_[c]->sum();
+    into.req_n += m_req_lat_[c]->count();
+    into.ntc_stalls += m_ntc_stalls_[c]->value();
+    into.pload_hist.merge(*m_pload_hist_[c]);
+    into.req_hist.merge(*m_req_hist_[c]);
+  }
+  into.llc_hits += m_llc_hits_->value();
+  into.llc_misses += m_llc_misses_->value();
+  into.nvm_writes += m_nvm_writes_->value();
+  into.nvm_reads += m_nvm_reads_->value();
+  into.dram_writes += m_dram_writes_->value();
+  into.llc_wb_dropped += m_llc_wb_dropped_->value();
+  for (const CounterHandle& h : m_ntc_spills_) into.ntc_spills += h->value();
+  if (checker_ != nullptr) into.check_violations += checker_->violation_count();
+}
+
+// Sums over any grouping of cores are exact: the latency sums add whole
+// cycle counts, which a double holds exactly, and the percentiles come from
+// integer bucket merges. So a cluster total matches its nodes' rows, and a
+// one-node total is that node's row.
+Metrics NodeRaw::metrics(Cycle cycles, std::uint64_t cores) const {
   Metrics m;
   m.cycles = cycles;
-  for (unsigned c = 0; c < cfg_.cores; ++c) {
-    m.retired_uops += m_retired_[c]->value();
-    m.committed_txs += m_txs_[c]->value();
-  }
-  if (m.cycles > 0) {
-    m.ipc = static_cast<double>(m.retired_uops) / static_cast<double>(m.cycles);
-    m.tx_per_kilocycle = 1000.0 * static_cast<double>(m.committed_txs) /
-                         static_cast<double>(m.cycles);
-  }
-  const std::uint64_t hits = m_llc_hits_->value();
-  const std::uint64_t misses = m_llc_misses_->value();
-  if (hits + misses > 0) {
-    m.llc_miss_rate =
-        static_cast<double>(misses) / static_cast<double>(hits + misses);
-  }
-  m.nvm_writes = m_nvm_writes_->value();
-  m.nvm_reads = m_nvm_reads_->value();
-  m.dram_writes = m_dram_writes_->value();
-  m.llc_wb_dropped = m_llc_wb_dropped_->value();
-  for (const CounterHandle& h : m_ntc_spills_) m.ntc_spills += h->value();
-
-  double pload_sum = 0.0;
-  std::uint64_t pload_n = 0;
-  std::uint64_t ntc_stalls = 0;
-  for (unsigned c = 0; c < cfg_.cores; ++c) {
-    pload_sum += m_pload_lat_[c]->sum();
-    pload_n += m_pload_lat_[c]->count();
-    ntc_stalls += m_ntc_stalls_[c]->value();
-  }
-  if (pload_n > 0) m.pload_latency = pload_sum / static_cast<double>(pload_n);
-  {
-    // Percentiles from the merged per-core histograms (bucketed: edges are
-    // power-of-two upper bounds).
-    Histogram merged;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-      merged.merge(*m_pload_hist_[c]);
-    }
-    if (merged.total() > 0) {
-      m.pload_latency_p50 = merged.percentile_edge(50.0);
-      m.pload_latency_p99 = merged.percentile_edge(99.0);
-    }
-  }
-  if (m.cycles > 0) {
+  m.retired_uops = retired;
+  m.committed_txs = txs;
+  if (cycles > 0) {
+    m.ipc = static_cast<double>(retired) / static_cast<double>(cycles);
+    m.tx_per_kilocycle =
+        1000.0 * static_cast<double>(txs) / static_cast<double>(cycles);
     m.ntc_stall_frac = static_cast<double>(ntc_stalls) /
-                       static_cast<double>(m.cycles * cfg_.cores);
+                       static_cast<double>(cycles * cores);
   }
-  {
-    double req_sum = 0.0;
-    std::uint64_t req_n = 0;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-      req_sum += m_req_lat_[c]->sum();
-      req_n += m_req_lat_[c]->count();
-    }
-    m.requests = req_n;
-    if (req_n > 0) m.req_latency = req_sum / static_cast<double>(req_n);
-    const Histogram merged = request_latency_histogram();
-    if (merged.total() > 0) {
-      m.req_latency_p50 = merged.percentile_edge(50.0);
-      m.req_latency_p95 = merged.percentile_edge(95.0);
-      m.req_latency_p99 = merged.percentile_edge(99.0);
-      m.req_latency_p999 = merged.percentile_edge(99.9);
-    }
+  if (llc_hits + llc_misses > 0) {
+    m.llc_miss_rate = static_cast<double>(llc_misses) /
+                      static_cast<double>(llc_hits + llc_misses);
   }
-  if (checker_ != nullptr) m.check_violations = checker_->violation_count();
+  m.nvm_writes = nvm_writes;
+  m.nvm_reads = nvm_reads;
+  m.dram_writes = dram_writes;
+  m.llc_wb_dropped = llc_wb_dropped;
+  m.ntc_spills = ntc_spills;
+  if (pload_n > 0) m.pload_latency = pload_sum / static_cast<double>(pload_n);
+  // Percentiles are bucket edges of the merged per-core histograms.
+  if (pload_hist.total() > 0) {
+    m.pload_latency_p50 = pload_hist.percentile_edge(50.0);
+    m.pload_latency_p99 = pload_hist.percentile_edge(99.0);
+  }
+  m.requests = req_n;
+  if (req_n > 0) m.req_latency = req_sum / static_cast<double>(req_n);
+  if (req_hist.total() > 0) {
+    m.req_latency_p50 = req_hist.percentile_edge(50.0);
+    m.req_latency_p95 = req_hist.percentile_edge(95.0);
+    m.req_latency_p99 = req_hist.percentile_edge(99.0);
+    m.req_latency_p999 = req_hist.percentile_edge(99.9);
+  }
+  m.check_violations = check_violations;
   return m;
-}
-
-NodeRaw Node::raw() const {
-  NodeRaw r;
-  for (unsigned c = 0; c < cfg_.cores; ++c) {
-    r.retired += m_retired_[c]->value();
-    r.txs += m_txs_[c]->value();
-    r.pload_sum += m_pload_lat_[c]->sum();
-    r.pload_n += m_pload_lat_[c]->count();
-    r.req_sum += m_req_lat_[c]->sum();
-    r.req_n += m_req_lat_[c]->count();
-    r.ntc_stalls += m_ntc_stalls_[c]->value();
-    r.pload_hist.merge(*m_pload_hist_[c]);
-    r.req_hist.merge(*m_req_hist_[c]);
-  }
-  r.llc_hits = m_llc_hits_->value();
-  r.llc_misses = m_llc_misses_->value();
-  r.nvm_writes = m_nvm_writes_->value();
-  r.nvm_reads = m_nvm_reads_->value();
-  r.dram_writes = m_dram_writes_->value();
-  r.llc_wb_dropped = m_llc_wb_dropped_->value();
-  for (const CounterHandle& h : m_ntc_spills_) r.ntc_spills += h->value();
-  if (checker_ != nullptr) r.check_violations = checker_->violation_count();
-  return r;
-}
-
-Histogram Node::request_latency_histogram() const {
-  Histogram merged;
-  for (unsigned c = 0; c < cfg_.cores; ++c) merged.merge(*m_req_hist_[c]);
-  return merged;
 }
 
 }  // namespace ntcsim::sim

@@ -40,8 +40,9 @@ struct SystemOptions {
   bool force_check_off = false;
 };
 
-/// Raw statistic sums a Cluster needs to aggregate node metrics exactly
-/// (same summation order and intermediate types as a single node uses).
+/// Raw statistic sums since the last reset_stats(): the inputs of every
+/// Metrics field. Node::add_raw adds one node's counters core by core, so a
+/// NodeRaw totals a single node or a whole cluster.
 struct NodeRaw {
   std::uint64_t retired = 0;
   std::uint64_t txs = 0;
@@ -57,9 +58,14 @@ struct NodeRaw {
   std::uint64_t pload_n = 0;
   double req_sum = 0.0;
   std::uint64_t req_n = 0;
-  Histogram pload_hist;  ///< Merged across this node's cores.
-  Histogram req_hist;    ///< Merged across this node's cores.
+  Histogram pload_hist;  ///< Merged across the added cores.
+  Histogram req_hist;    ///< Merged across the added cores.
   std::uint64_t check_violations = 0;
+
+  /// The one Metrics derivation, for a node row and a cluster total alike:
+  /// every field these sums determine, over `cycles` elapsed on `cores`
+  /// cores. Cluster-only fields (per_node, xshard_*) stay empty.
+  Metrics metrics(Cycle cycles, std::uint64_t cores) const;
 };
 
 class Node {
@@ -89,13 +95,9 @@ class Node {
   /// jump target; see docs/ARCHITECTURE.md "Clock advance & quiescence".
   NTC_HOT Cycle next_event_cycle(Cycle now) const;
 
-  /// Metrics over `cycles` elapsed since the last reset_stats() (the
-  /// Cluster tracks the epoch; cycles are global).
-  Metrics metrics(Cycle cycles) const;
-  /// Raw sums for exact cross-node aggregation.
-  NodeRaw raw() const;
-  /// Merged per-core request-latency histogram since the last reset_stats().
-  Histogram request_latency_histogram() const;
+  /// Add this node's raw sums since the last reset_stats() into `into`
+  /// (the Cluster tracks the epoch and derives the Metrics).
+  void add_raw(NodeRaw& into) const;
   void reset_stats() { stats_.reset(); }
   StatSet& stats() { return stats_; }
   const StatSet& stats() const { return stats_; }
@@ -141,7 +143,7 @@ class Node {
   std::unique_ptr<check::PersistOrderChecker> checker_;
   std::vector<core::Trace> traces_;
 
-  // metrics() sources, resolved once at construction (the PR 2 stat-handle
+  // add_raw() sources, resolved once at construction (the PR 2 stat-handle
   // pattern; components registered all of these in their constructors, so
   // resolving here creates nothing new). Per-core vectors are indexed by
   // CoreId.

@@ -16,36 +16,35 @@ std::vector<TimelineSample> run_with_timeline(System& sys, Cycle interval) {
     TimelineSample s;
     s.cycle = sys.now();
     // The final window can be shorter than `interval` (the run drained),
-    // so the ratio uses the cycles actually elapsed in this window.
+    // so the window rates divide by the cycles actually elapsed in it.
     const Cycle elapsed = s.cycle - prev_cycle;
     const std::uint64_t skipped = sys.cycles_skipped() - prev_skipped;
+    const NodeRaw raw = sys.raw();
+    s.committed_txs = raw.txs;
+    s.nvm_writes = raw.nvm_writes;
+    s.nvm_reads = raw.nvm_reads;
     if (elapsed > 0) {
       s.window_skip_ratio =
           static_cast<double>(skipped) / static_cast<double>(elapsed);
+      s.window_tx_per_kilocycle =
+          1000.0 * static_cast<double>(raw.txs - prev_txs) /
+          static_cast<double>(elapsed);
     }
     prev_cycle = s.cycle;
     prev_skipped = sys.cycles_skipped();
-    const Metrics m = sys.metrics();
-    s.committed_txs = m.committed_txs;
-    s.nvm_writes = m.nvm_writes;
-    s.nvm_reads = m.nvm_reads;
-    s.window_tx_per_kilocycle =
-        1000.0 * static_cast<double>(m.committed_txs - prev_txs) /
-        static_cast<double>(interval);
-    prev_txs = m.committed_txs;
-    s.requests = m.requests;
-    const Histogram cur = sys.request_latency_histogram();
-    const Histogram window = cur.diff_since(prev_hist);
+    prev_txs = raw.txs;
+    s.requests = raw.req_n;
+    const Histogram window = raw.req_hist.diff_since(prev_hist);
     if (window.total() > 0) s.window_req_p99 = window.percentile_edge(99.0);
-    prev_hist = cur;
+    prev_hist = raw.req_hist;
     for (NodeId n = 0; n < sys.nodes(); ++n) {
+      Node& node = sys.node(n);
       for (CoreId c = 0; c < sys.config().cores; ++c) {
-        if (sys.ntc(n, c) != nullptr) {
-          s.ntc_occupancy =
-              std::max(s.ntc_occupancy, sys.ntc(n, c)->occupancy());
+        if (const txcache::TxCache* ntc = node.ntc(c)) {
+          s.ntc_occupancy = std::max(s.ntc_occupancy, ntc->occupancy());
         }
       }
-      s.nvm_write_queue += sys.node(n).memory().nvm_pending_writes();
+      s.nvm_write_queue += node.memory().nvm_pending_writes();
     }
     samples.push_back(s);
   }

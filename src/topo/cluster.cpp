@@ -154,90 +154,29 @@ void Cluster::reset_stats() {
   stats_epoch_ = now_;
 }
 
+NodeRaw Cluster::raw() const {
+  NodeRaw r;
+  for (const auto& n : nodes_) n->add_raw(r);
+  return r;
+}
+
 Metrics Cluster::metrics() const {
   const Cycle cycles = now_ - stats_epoch_;
-  if (nodes_.size() == 1) {
-    // The pre-cluster path, bit-for-bit: no aggregation arithmetic runs.
-    return nodes_[0]->metrics(cycles);
+  Metrics m = raw().metrics(
+      cycles, static_cast<std::uint64_t>(cfg_.cores) * nodes_.size());
+  if (nodes_.size() > 1) {
+    for (const auto& n : nodes_) {
+      NodeRaw r;
+      n->add_raw(r);
+      m.per_node.push_back(r.metrics(cycles, cfg_.cores));
+    }
   }
-
-  Metrics m;
-  m.cycles = cycles;
-  NodeRaw t;
-  for (const auto& n : nodes_) {
-    const NodeRaw r = n->raw();
-    t.retired += r.retired;
-    t.txs += r.txs;
-    t.llc_hits += r.llc_hits;
-    t.llc_misses += r.llc_misses;
-    t.nvm_writes += r.nvm_writes;
-    t.nvm_reads += r.nvm_reads;
-    t.dram_writes += r.dram_writes;
-    t.llc_wb_dropped += r.llc_wb_dropped;
-    t.ntc_spills += r.ntc_spills;
-    t.ntc_stalls += r.ntc_stalls;
-    t.pload_sum += r.pload_sum;
-    t.pload_n += r.pload_n;
-    t.req_sum += r.req_sum;
-    t.req_n += r.req_n;
-    t.pload_hist.merge(r.pload_hist);
-    t.req_hist.merge(r.req_hist);
-    t.check_violations += r.check_violations;
-  }
-
-  m.retired_uops = t.retired;
-  m.committed_txs = t.txs;
-  if (m.cycles > 0) {
-    m.ipc = static_cast<double>(m.retired_uops) / static_cast<double>(m.cycles);
-    m.tx_per_kilocycle = 1000.0 * static_cast<double>(m.committed_txs) /
-                         static_cast<double>(m.cycles);
-  }
-  if (t.llc_hits + t.llc_misses > 0) {
-    m.llc_miss_rate = static_cast<double>(t.llc_misses) /
-                      static_cast<double>(t.llc_hits + t.llc_misses);
-  }
-  m.nvm_writes = t.nvm_writes;
-  m.nvm_reads = t.nvm_reads;
-  m.dram_writes = t.dram_writes;
-  m.llc_wb_dropped = t.llc_wb_dropped;
-  m.ntc_spills = t.ntc_spills;
-  if (t.pload_n > 0) {
-    m.pload_latency = t.pload_sum / static_cast<double>(t.pload_n);
-  }
-  if (t.pload_hist.total() > 0) {
-    m.pload_latency_p50 = t.pload_hist.percentile_edge(50.0);
-    m.pload_latency_p99 = t.pload_hist.percentile_edge(99.0);
-  }
-  if (m.cycles > 0) {
-    const std::uint64_t total_cores =
-        static_cast<std::uint64_t>(cfg_.cores) * nodes_.size();
-    m.ntc_stall_frac = static_cast<double>(t.ntc_stalls) /
-                       static_cast<double>(m.cycles * total_cores);
-  }
-  m.requests = t.req_n;
-  if (t.req_n > 0) m.req_latency = t.req_sum / static_cast<double>(t.req_n);
-  if (t.req_hist.total() > 0) {
-    m.req_latency_p50 = t.req_hist.percentile_edge(50.0);
-    m.req_latency_p95 = t.req_hist.percentile_edge(95.0);
-    m.req_latency_p99 = t.req_hist.percentile_edge(99.0);
-    m.req_latency_p999 = t.req_hist.percentile_edge(99.9);
-  }
-  m.check_violations = t.check_violations;
-
-  m.per_node.reserve(nodes_.size());
-  for (const auto& n : nodes_) m.per_node.push_back(n->metrics(cycles));
   m.xshard_requests = route_.xshard;
   if (route_.xshard > 0) {
     m.xshard_fwd_delay = static_cast<double>(route_.fwd_cycles) /
                          static_cast<double>(route_.xshard);
   }
   return m;
-}
-
-Histogram Cluster::request_latency_histogram() const {
-  Histogram merged;
-  for (const auto& n : nodes_) merged.merge(n->request_latency_histogram());
-  return merged;
 }
 
 }  // namespace ntcsim::sim

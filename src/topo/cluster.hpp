@@ -1,9 +1,9 @@
 // A cluster of sim::Nodes on one shared clock and event queue — the
 // scale-out layer above the paper's single-socket machine. Node 0 of a
 // 1-node cluster is the pre-cluster System, cycle-for-cycle; `sim::System`
-// is now an alias for this class, and the single-node member functions
-// below (core(), ntc(), checker(), ...) keep every existing call site
-// compiling by delegating to node 0.
+// is now an alias for this class, and the node-0 member functions below
+// (load_trace(core, trace), core(), checker(), ...) keep the single-node
+// call sites in tests and examples short by delegating to node 0.
 #pragma once
 
 #include <memory>
@@ -62,14 +62,14 @@ class Cluster {
   bool timed_out() const { return timed_out_; }
   Cycle now() const { return now_; }
 
-  /// Aggregate metrics across nodes. Single-node clusters return node 0's
-  /// metrics verbatim (per_node stays empty); multi-node clusters compute
-  /// cluster-wide sums/rates and attach a per-node breakdown plus the
-  /// routing stats recorded via note_route_stats().
+  /// Metrics since the last reset_stats(), derived from raw() over every
+  /// core of every node, plus the routing stats recorded via
+  /// note_route_stats(). With more than one node, per_node holds each
+  /// node's row from the same derivation.
   Metrics metrics() const;
-  /// Merged request-latency histogram across every node's cores since the
-  /// last reset_stats() (timeline windows diff successive snapshots).
-  Histogram request_latency_histogram() const;
+  /// Every node's raw sums since the last reset_stats(), added together
+  /// (the timeline diffs successive snapshots).
+  NodeRaw raw() const;
   /// Zero every statistic on every node and start a new measurement epoch
   /// (used between the setup and measured phases; caches stay warm).
   void reset_stats();
@@ -87,30 +87,17 @@ class Cluster {
   recovery::WordImage crash_and_recover(NodeId node) const;
   recovery::WordImage crash_and_recover() const { return crash_and_recover(0); }
 
-  // Node-0 compatibility surface (the pre-cluster System API).
+  // Node-0 compatibility surface (the pre-cluster System API); other nodes'
+  // components are reached through node(n).
   core::Core& core(CoreId c) { return nodes_[0]->core(c); }
-  txcache::TxCache* ntc(CoreId c) { return nodes_[0]->ntc(c); }
-  txcache::TxCache* ntc(NodeId n, CoreId c) { return nodes_[n]->ntc(c); }
   cache::Hierarchy& hierarchy() { return nodes_[0]->hierarchy(); }
   mem::MemorySystem& memory() { return nodes_[0]->memory(); }
-  const persist::PersistenceDomain& domain() const {
-    return nodes_[0]->domain();
-  }
   const recovery::DurableState* durable() const {
     return nodes_[0]->durable();
   }
   const check::PersistOrderChecker* checker() const {
     return nodes_[0]->checker();
   }
-  const check::PersistOrderChecker* checker(NodeId n) const {
-    return nodes_[n]->checker();
-  }
-  /// Route one node's component check-event taps to an external sink (the
-  /// fault-injection CrashPlanner). See Node::tap_events.
-  void tap_events(NodeId node, check::CheckSink* sink) {
-    nodes_[node]->tap_events(sink);
-  }
-  void tap_events(check::CheckSink* sink) { tap_events(0, sink); }
   /// The live cycle counter, for external sinks that stamp events
   /// themselves (mirrors the checker's set_clock wiring).
   const Cycle* cycle_counter() const { return &now_; }

@@ -159,9 +159,7 @@ class KilnLossyDomain final : public ForwardingDomain {
             real_domain(Mechanism::kKiln)) {}
   void bind(const persist::DomainWiring& wiring) override {
     ForwardingDomain::bind(wiring);
-    // The System built a KilnUnit for flush_on_commit policies.
-    static_cast<persist::KilnUnit*>(wiring.engine)
-        ->set_lossy_flush_mutant(true);
+    wiring.kiln->set_lossy_flush_mutant(true);
   }
 };
 

@@ -4,9 +4,10 @@
 // an overflow. Each case must exit 1 with exactly one line on stderr — or,
 // for a zero the input accepts, run a tiny cell and exit 0. Cache and
 // memory geometries that pass each key's bounds but not the limits across
-// keys exit 1 the same way. Nothing may die on a signal or run into the
+// keys exit 1 the same way, and so do crash-sweep op and setup counts that
+// overflow once scaled. Nothing may die on a signal or run into the
 // timeout. Also checks that --profile writes its report from a single
-// ntcsim cell and from a bench binary.
+// ntcsim cell and from a bench binary, and that --stats dumps every node.
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -40,6 +41,7 @@ const std::vector<std::string> kTinyCell = {
 struct Outcome {
   int exit_code = -1;  ///< -1 when the process died on a signal
   int signal = 0;
+  std::string out;  ///< everything written to stdout
   std::string err;  ///< everything written to stderr
   bool timed_out() const { return signal == SIGALRM; }
 };
@@ -68,11 +70,12 @@ std::string read_file(const fs::path& p) {
 }
 
 /// Run `argv` in a scratch directory with the NTCSIM_* variables cleared
-/// and `env` set, stdout discarded and stderr captured. The child arms an
-/// alarm before exec, so a hang ends in SIGALRM.
+/// and `env` set, stdout and stderr captured. The child arms an alarm
+/// before exec, so a hang ends in SIGALRM.
 Outcome run(const std::vector<std::string>& argv,
             const std::vector<std::pair<std::string, std::string>>& env = {}) {
   const fs::path& dir = scratch_dir();
+  const fs::path out_path = dir / "stdout.txt";
   const fs::path err_path = dir / "stderr.txt";
   const pid_t pid = ::fork();
   if (pid == 0) {
@@ -80,7 +83,8 @@ Outcome run(const std::vector<std::string>& argv,
       ::unsetenv(var);
     }
     for (const auto& [k, v] : env) ::setenv(k.c_str(), v.c_str(), 1);
-    const int out = ::open("/dev/null", O_WRONLY);
+    const int out =
+        ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     const int err =
         ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (out < 0 || err < 0 || ::chdir(dir.c_str()) != 0) ::_exit(127);
@@ -100,6 +104,7 @@ Outcome run(const std::vector<std::string>& argv,
   ::waitpid(pid, &status, 0);
   if (WIFEXITED(status)) o.exit_code = WEXITSTATUS(status);
   if (WIFSIGNALED(status)) o.signal = WTERMSIG(status);
+  o.out = read_file(out_path);
   o.err = read_file(err_path);
   return o;
 }
@@ -228,6 +233,25 @@ TEST(BadInput, CacheAndMemoryGeometry) {
   cases.expect_clean();
 }
 
+TEST(BadInput, CrashSweepCountsThatOverflow) {
+  // Each count overflows 64 bits on its way into the campaign: the op
+  // count as a double (2^64 even at scale 1, and 2^63 x --scale=1000) and
+  // the sps setup size, seven times crash.setup.
+  const std::vector<std::string> sweep = {
+      NTC_NTCSIM_BIN, "--crash-sweep", "--preset=tiny", "--mechanism=tc",
+      "--workload=sps", "--seed=1"};
+  Cases cases;
+  for (const std::vector<std::string>& extra :
+       std::vector<std::vector<std::string>>{
+           {"--set", "crash.ops=18446744073709551615"},
+           {"--ops=9223372036854775807", "--scale=1000"},
+           {"--set", "crash.setup=2635249153387078803"}}) {
+    cases.check(extra.front() + " " + extra.back(), run(with(sweep, extra)),
+                false);
+  }
+  cases.expect_clean();
+}
+
 TEST(BadInput, BenchArguments) {
   Cases cases;
   for (const char* value : kBadValues) {
@@ -263,6 +287,19 @@ TEST(CliProfile, SingleCellReportsItsCellAndPhases) {
     EXPECT_NE(json.find(std::string("\"") + phase + "\""), std::string::npos)
         << phase << " missing from\n" << json;
   }
+}
+
+TEST(CliStats, EveryNodeDumpsItsStatistics) {
+  const Outcome o = run({NTC_NTCSIM_BIN, "--preset=tiny", "--nodes=2",
+                         "--serve", "--rate=2", "--requests=20",
+                         "--setup=64", "--workload=hashtable", "--stats"});
+  ASSERT_EQ(o.exit_code, 0) << o.err;
+  std::size_t retired_lines = 0;
+  std::istringstream lines(o.out);
+  for (std::string line; std::getline(lines, line);) {
+    retired_lines += line.rfind("core0.retired = ", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(retired_lines, 2u) << o.out;
 }
 
 TEST(CliProfile, BenchBinaryWritesItsReport) {

@@ -210,7 +210,7 @@ TEST(DomainRecovery, DispatchMatchesTheMechanismProcedures) {
     auto sys = run_seeded(name, 5000);
     std::vector<recovery::NtcSnapshot> snaps;
     for (CoreId c = 0; c < sys->config().cores; ++c) {
-      snaps.push_back(sys->ntc(c)->snapshot());
+      snaps.push_back(sys->node(0).ntc(c)->snapshot());
     }
     EXPECT_EQ(flatten(sys->crash_and_recover()),
               flatten(recovery::recover_tc(*sys->durable(), snaps)))

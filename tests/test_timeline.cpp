@@ -61,6 +61,23 @@ TEST(Timeline, CsvHasHeaderAndAllRows) {
   EXPECT_NE(oss.str().find("cycle,committed_txs"), std::string::npos);
 }
 
+TEST(Timeline, LastWindowRateUsesItsOwnLength) {
+  // The run drains partway through its last window, so that window's rate
+  // divides by the cycles it covered, not by the sampling interval.
+  const Cycle interval = 2000;
+  const auto samples = sample_run(Mechanism::kTc, interval);
+  ASSERT_GT(samples.size(), 2u);
+  const TimelineSample& prev = samples[samples.size() - 2];
+  const TimelineSample& last = samples.back();
+  const Cycle elapsed = last.cycle - prev.cycle;
+  ASSERT_LT(elapsed, interval);
+  ASSERT_GT(last.committed_txs, prev.committed_txs);
+  EXPECT_DOUBLE_EQ(
+      last.window_tx_per_kilocycle,
+      1000.0 * static_cast<double>(last.committed_txs - prev.committed_txs) /
+          static_cast<double>(elapsed));
+}
+
 TEST(Timeline, WindowRateReflectsActivity) {
   const auto samples = sample_run(Mechanism::kTc, 2000);
   double peak = 0;

@@ -243,9 +243,13 @@ int run_crash_sweep_mode(const Cli& cli) {
   SystemConfig cfg = cli.cfg;
   if (cli.ops_explicit) cfg.crash.ops = cli.params.ops;
   if (cli.setup_explicit) cfg.crash.setup = cli.params.setup_elems;
-  cfg.crash.ops = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             static_cast<double>(cfg.crash.ops) * cli.opts.scale));
+  const double ops = static_cast<double>(cfg.crash.ops) * cli.opts.scale;
+  if (ops >= 0x1p64) {
+    std::fprintf(stderr, "--crash-sweep: %g scaled ops per core overflow a "
+                         "64-bit count\n", ops);
+    return 1;
+  }
+  cfg.crash.ops = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ops));
 
   std::vector<faultsim::VariantSpec> variants = faultsim::default_variants();
   if (cli.mech_explicit) {
@@ -265,6 +269,15 @@ int run_crash_sweep_mode(const Cli& cli) {
   const std::vector<WorkloadKind> workloads =
       cli.wl_explicit ? std::vector<WorkloadKind>{cli.workload}
                       : faultsim::default_workloads();
+  for (const WorkloadKind wl : workloads) {
+    if (faultsim::setup_elems(cfg, wl) == 0) {
+      std::fprintf(stderr, "--crash-sweep: crash.setup=%llu overflows the %s "
+                           "setup size\n",
+                   static_cast<unsigned long long>(cfg.crash.setup),
+                   std::string(to_string(wl)).c_str());
+      return 1;
+    }
+  }
   std::vector<std::uint64_t> seeds;
   if (cli.seed_explicit) {
     seeds.push_back(cli.params.seed);
@@ -431,19 +444,20 @@ int run(const Cli& cli) {
     }
   }
   if (cli.stats) {
-    std::cout << "\n-- raw statistics --\n";
-    sys.stats().dump(std::cout);
+    for (NodeId n = 0; n < sys.nodes(); ++n) {
+      std::cout << "\n-- raw statistics";
+      if (sys.nodes() > 1) std::cout << " (node " << n << ")";
+      std::cout << " --\n";
+      sys.node(n).stats().dump(std::cout);
+    }
   }
   if (sys.checker() != nullptr) {
-    std::uint64_t violations = 0;
-    for (NodeId n = 0; n < sys.nodes(); ++n) {
-      violations += sys.checker(n)->violation_count();
-    }
     std::fprintf(stderr, "persistence-order checker: %llu violation(s)\n",
-                 static_cast<unsigned long long>(violations));
-    if (violations > 0) {
+                 static_cast<unsigned long long>(m.check_violations));
+    if (m.check_violations > 0) {
       for (NodeId n = 0; n < sys.nodes(); ++n) {
-        if (sys.checker(n)->violation_count() > 0) sys.checker(n)->report(stderr);
+        const check::PersistOrderChecker& checker = *sys.node(n).checker();
+        if (checker.violation_count() > 0) checker.report(stderr);
       }
       return 3;
     }

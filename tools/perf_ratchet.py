@@ -13,13 +13,19 @@ Several candidate reports may be given; the fastest one is compared
 deltas are printed for diagnosis but never gate — individual cells are far
 noisier than the total.
 
+Only equal work is compared: every candidate must report the baseline's
+cell count and ``ticks_executed`` (simulated cycles the clock stepped
+through). A run that ticked fewer cycles is not faster, it did less, so a
+mismatch exits 2 and asks for a regenerated baseline instead of a verdict.
+
 When a commit makes the simulator legitimately faster or slower (new
 subsystem, algorithmic change), refresh the baseline with the same command
 CI uses and commit the new file:
 
     ./build/tools/ntcsim --matrix --scale=0.02 --profile=bench/baseline_selfperf.json --jobs=1
 
-Exit codes: 0 ok, 1 regression beyond threshold, 2 bad input.
+Exit codes: 0 ok, 1 regression beyond threshold, 2 bad input or different
+work (regenerate the baseline).
 """
 
 import argparse
@@ -27,17 +33,25 @@ import json
 import sys
 
 
+def bad_input(message):
+    print(f"perf-ratchet: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load_report(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
     except (OSError, ValueError) as err:
-        sys.exit(f"perf-ratchet: cannot read {path}: {err}")
-    for key in ("wall_seconds", "cells", "cell_times"):
+        bad_input(f"cannot read {path}: {err}")
+    if not isinstance(report, dict):
+        bad_input(f"{path}: not a self-perf report")
+    for key in ("wall_seconds", "cells", "cell_times", "ticks_executed"):
         if key not in report:
-            sys.exit(f"perf-ratchet: {path}: missing key '{key}'")
-    if report["wall_seconds"] <= 0:
-        sys.exit(f"perf-ratchet: {path}: non-positive wall_seconds")
+            bad_input(f"{path}: missing key '{key}'")
+    wall = report["wall_seconds"]
+    if not isinstance(wall, (int, float)) or wall <= 0:
+        bad_input(f"{path}: wall_seconds must be a positive number")
     return report
 
 
@@ -63,14 +77,15 @@ def main(argv=None):
 
     base = load_report(args.baseline)
     runs = [(load_report(p), p) for p in args.candidates]
+    for run, path in runs:
+        for key in ("cells", "ticks_executed"):
+            if run[key] != base[key]:
+                bad_input(
+                    f"{path} did different work: {key} is {run[key]}, the "
+                    f"baseline's is {base[key]} — regenerate the baseline "
+                    "(see --help)"
+                )
     cand, cand_path = min(runs, key=lambda r: r[0]["wall_seconds"])
-
-    if cand["cells"] != base["cells"]:
-        sys.exit(
-            f"perf-ratchet: cell-count mismatch: baseline has {base['cells']}, "
-            f"{cand_path} has {cand['cells']} — regenerate the baseline "
-            "(see --help) after changing the evaluation matrix"
-        )
 
     base_wall = base["wall_seconds"]
     cand_wall = cand["wall_seconds"]
