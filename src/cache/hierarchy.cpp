@@ -43,10 +43,16 @@ Cycle Hierarchy::llc_ready_delay(Cycle now) const {
   return wait + cfg_.llc.latency_cycles;
 }
 
-bool Hierarchy::load(Cycle now, CoreId core, Addr addr, bool persistent,
-                     DoneFn done) {
-  return access(now, core, line_of(addr), /*is_write=*/false, persistent, kNoTx,
-                std::move(done));
+AccessResult Hierarchy::load(Cycle now, CoreId core, Addr addr,
+                             bool persistent) {
+  return access(now, core, line_of(addr), /*is_write=*/false, persistent,
+                kNoTx);
+}
+
+void Hierarchy::wait_for_fill(CoreId core, Addr addr, DoneFn done) {
+  auto it = l1_miss_[core].find(line_of(addr));
+  NTC_ASSERT(it != l1_miss_[core].end(), "waiting on a line with no L1 miss");
+  it->second.waiters.push_back(std::move(done));
 }
 
 bool Hierarchy::store(Cycle now, CoreId core, Addr addr, Word value,
@@ -54,8 +60,9 @@ bool Hierarchy::store(Cycle now, CoreId core, Addr addr, Word value,
   if (persistent && vimage_ != nullptr) {
     vimage_->store(word_of(addr), value);
   }
-  const bool ok = access(now, core, line_of(addr), /*is_write=*/true,
-                         persistent, tx, DoneFn{});
+  const AccessResult r =
+      access(now, core, line_of(addr), /*is_write=*/true, persistent, tx);
+  const bool ok = r.kind != AccessKind::kRejected;
   if (ok && persistent && sink_ != nullptr) {
     // Tap on acceptance only — a rejected store retries and would
     // double-count.
@@ -71,8 +78,26 @@ bool Hierarchy::store(Cycle now, CoreId core, Addr addr, Word value,
   return ok;
 }
 
-bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
-                       bool persistent, TxId tx, DoneFn done) {
+void Hierarchy::hit_llc_(CoreId core, Addr line, Line& ll, bool is_write,
+                         bool persistent, TxId tx) {
+  if (is_write && ll.presence != 0) {
+    // Coherence-lite: a write serviced at the LLC invalidates other
+    // cores' private copies (see DESIGN.md §2, coherence substitution).
+    for (CoreId c = 0; c < cfg_.cores; ++c) {
+      if (c != core && (ll.presence & (1u << c))) {
+        bool upper_dirty = false;
+        invalidate_private(c, line, &upper_dirty);
+        if (upper_dirty) ll.dirty = true;
+      }
+    }
+    ll.presence = 0;
+  }
+  ll.presence |= 1u << core;
+  fill_private(core, line, ll.persistent || persistent, is_write, tx);
+}
+
+AccessResult Hierarchy::access(Cycle now, CoreId core, Addr line,
+                               bool is_write, bool persistent, TxId tx) {
   // L1.
   if (Line* l = l1_[core]->lookup(line)) {
     stat_l1_hits_->inc();
@@ -81,10 +106,7 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
       l->persistent |= persistent;
       l->tx = tx;
     }
-    if (done) {
-      events_->schedule_at(now + l1_latency_(), std::move(done));
-    }
-    return true;
+    return {AccessKind::kHit, now + l1_latency_()};
   }
   stat_l1_misses_->inc();
 
@@ -96,26 +118,23 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
       it->second.persistent |= persistent;
       it->second.tx = tx;
     }
-    if (done) it->second.waiters.push_back(std::move(done));
-    return true;
+    return {AccessKind::kMiss};
   }
 
   // L2 (private): hit fills L1 and completes without an MSHR.
   if (Line* l2l = l2_[core]->lookup(line)) {
     stat_l2_hits_->inc();
-    fill_private(now, core, line, l2l->persistent || persistent, is_write, tx);
-    if (done) {
-      events_->schedule_at(now + l1_latency_() + l2_latency_(), std::move(done));
-    }
-    return true;
+    fill_private(core, line, l2l->persistent || persistent, is_write, tx);
+    return {AccessKind::kHit, now + l1_latency_() + l2_latency_()};
   }
   stat_l2_misses_->inc();
 
-  // Resource checks before committing to the miss path.
+  // Resource checks before committing to the miss path; a rejected access
+  // never touches the LLC's replacement state.
   if (misses.size() >= cfg_.l1.mshrs ||
       wb_retry_.size() >= cfg_.llc.writeback_buffer) {
     stat_reject_->inc();
-    return false;
+    return {AccessKind::kRejected};
   }
 
   const Cycle llc_delay = llc_ready_delay(now);
@@ -123,25 +142,9 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
   // Shared LLC.
   if (Line* ll = llc_.lookup(line)) {
     stat_llc_hits_->inc();
-    if (is_write && ll->presence != 0) {
-      // Coherence-lite: a write serviced at the LLC invalidates other
-      // cores' private copies (see DESIGN.md §2, coherence substitution).
-      for (CoreId c = 0; c < cfg_.cores; ++c) {
-        if (c != core && (ll->presence & (1u << c))) {
-          bool upper_dirty = false;
-          invalidate_private(c, line, &upper_dirty);
-          if (upper_dirty) ll->dirty = true;
-        }
-      }
-      ll->presence = 0;
-    }
-    ll->presence |= 1u << core;
-    fill_private(now, core, line, ll->persistent || persistent, is_write, tx);
-    if (done) {
-      events_->schedule_at(now + l1_latency_() + l2_latency_() + llc_delay,
-                           std::move(done));
-    }
-    return true;
+    hit_llc_(core, line, *ll, is_write, persistent, tx);
+    return {AccessKind::kHit,
+            now + l1_latency_() + l2_latency_() + llc_delay};
   }
   stat_llc_misses_->inc();
 
@@ -152,19 +155,18 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
     m.persistent = persistent;
     m.write_merge = is_write;
     m.tx = tx;
-    if (done) m.waiters.push_back(std::move(done));
     misses.emplace(line, std::move(m));
     it->second.persistent |= persistent;
     std::vector<CoreId>& fills = it->second.fills;
     if (std::find(fills.begin(), fills.end(), core) == fills.end()) {
       fills.push_back(core);
     }
-    return true;
+    return {AccessKind::kMiss};
   }
 
   if (llc_miss_.size() >= cfg_.llc.mshrs) {
     stat_reject_->inc();
-    return false;
+    return {AccessKind::kRejected};
   }
 
   L1Miss m;
@@ -172,7 +174,6 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
   m.persistent = persistent;
   m.write_merge = is_write;
   m.tx = tx;
-  if (done) m.waiters.push_back(std::move(done));
   misses.emplace(line, std::move(m));
 
   LlcMiss lm;
@@ -200,7 +201,7 @@ bool Hierarchy::access(Cycle now, CoreId core, Addr line, bool is_write,
   }
 
   issue_llc_read(now, lit->second);
-  return true;
+  return {AccessKind::kMiss};
 }
 
 void Hierarchy::issue_llc_read(Cycle now, LlcMiss& miss) {
@@ -247,7 +248,7 @@ void Hierarchy::complete_llc_miss(Addr line) {
     if (mit == l1_miss_[core].end()) continue;
     L1Miss m = std::move(mit->second);
     l1_miss_[core].erase(mit);
-    fill_private(now_, core, line, m.persistent, m.write_merge, m.tx);
+    fill_private(core, line, m.persistent, m.write_merge, m.tx);
     for (DoneFn& w : m.waiters) w();
   }
 }
@@ -341,8 +342,8 @@ void Hierarchy::writeback_to_memory(Addr line, bool persistent,
   }
 }
 
-void Hierarchy::fill_private(Cycle /*now*/, CoreId core, Addr line,
-                             bool persistent, bool dirty, TxId tx) {
+void Hierarchy::fill_private(CoreId core, Addr line, bool persistent,
+                             bool dirty, TxId tx) {
   // L2 first (inclusion: L1 content is always in L2).
   if (l2_[core]->lookup(line) == nullptr) {
     std::optional<Eviction> ev;

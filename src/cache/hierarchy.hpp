@@ -45,6 +45,18 @@ struct HierarchyHooks {
   std::function<TxId(CoreId, Addr)> kiln_pin_query;
 };
 
+/// What a demand access found when its tags were looked up.
+enum class AccessKind : std::uint8_t {
+  kRejected,  ///< MSHRs or write-back buffer exhausted: retry next cycle.
+  kHit,       ///< Served by L1, L2 or the LLC: its timing is known now.
+  kMiss,      ///< Allocated, or merged into, an outstanding L1 miss.
+};
+
+struct AccessResult {
+  AccessKind kind = AccessKind::kRejected;
+  Cycle ready = 0;  ///< kHit: the cycle the data reaches the core.
+};
+
 class Hierarchy {
  public:
   using DoneFn = std::function<void()>;
@@ -52,9 +64,14 @@ class Hierarchy {
   Hierarchy(const NodeConfig& cfg, mem::MemorySystem& mem, EventQueue& events,
             StatSet& stats, recovery::VolatileImage* vimage);
 
-  /// Demand load. `done` fires when data is back at the core. Returns false
-  /// when MSHRs or write-back resources are exhausted (retry next cycle).
-  bool load(Cycle now, CoreId core, Addr addr, bool persistent, DoneFn done);
+  /// Demand load. A hit carries no persistence work and schedules nothing:
+  /// it reports the cycle its data reaches the core. After a kMiss, call
+  /// wait_for_fill() for a callback when the data arrives.
+  AccessResult load(Cycle now, CoreId core, Addr addr, bool persistent);
+
+  /// Fires `done` when `core`'s outstanding L1 miss on `addr`'s line fills
+  /// (the miss a load just reported as kMiss).
+  void wait_for_fill(CoreId core, Addr addr, DoneFn done);
 
   /// Demand store (write-allocate). Completion is acceptance: the store
   /// buffer entry can be freed once this returns true (hit, or merged into
@@ -126,13 +143,19 @@ class Hierarchy {
     std::vector<CoreId> fills;
   };
 
-  /// Common load/store entry; returns false on resource exhaustion.
-  bool access(Cycle now, CoreId core, Addr line, bool is_write, bool persistent,
-              TxId tx, DoneFn done);
+  /// Common load/store entry: tags, MSHRs and timing.
+  AccessResult access(Cycle now, CoreId core, Addr line, bool is_write,
+                      bool persistent, TxId tx);
 
-  /// Fill the private levels of `core` and fire `done` at `when`.
-  void fill_private(Cycle when_charged, CoreId core, Addr line, bool persistent,
-                    bool dirty, TxId tx);
+  /// The state an LLC hit leaves behind, without MSHRs or timing: presence,
+  /// coherence-lite invalidation of other cores' copies on a write, then
+  /// fill the private levels.
+  void hit_llc_(CoreId core, Addr line, Line& ll, bool is_write,
+                bool persistent, TxId tx);
+
+  /// Fill the private levels of `core` (L2, then L1).
+  void fill_private(CoreId core, Addr line, bool persistent, bool dirty,
+                    TxId tx);
   /// Fill the LLC (allocating, possibly evicting); returns false on a
   /// Kiln all-pinned bypass.
   bool fill_llc(CoreId core, Addr line, bool persistent);

@@ -1,11 +1,20 @@
 #include "core/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "common/assert.hpp"
 
 namespace ntcsim::core {
+
+PendingStores::PendingStores(std::size_t max_pending) {
+  // Four slots per pending store keep shared slots, and so scans, rare.
+  const std::size_t slots =
+      std::bit_ceil(std::max<std::size_t>(4 * max_pending, 2));
+  counts_.assign(slots, 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+}
 
 Core::Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
            cache::Hierarchy& hier, StatSet& stats)
@@ -15,7 +24,12 @@ Core::Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
       traits_(domain.core_traits()),
       hier_(&hier),
       stats_(&stats),
-      prefix_("core" + std::to_string(id)) {
+      prefix_("core" + std::to_string(id)),
+      rob_(cfg.rob_entries),
+      unissued_q_(cfg.rob_entries),
+      sb_(cfg.store_buffer_entries),
+      pending_stores_(std::size_t{cfg.rob_entries} + cfg.store_buffer_entries),
+      req_start_q_(std::size_t{cfg.rob_entries} + 1) {
   stat_load_lat_ = AccumulatorHandle(*stats_, prefix_ + ".load_latency");
   stat_pload_lat_ = AccumulatorHandle(*stats_, prefix_ + ".pload_latency");
   stat_pload_hist_ = HistogramHandle(*stats_, prefix_ + ".pload_latency_hist");
@@ -37,18 +51,24 @@ Core::Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
 
 void Core::bind_trace(const Trace* trace) {
   trace_ = trace;
+  trace_records_ = trace != nullptr ? trace->ops().size() : 0;
   cursor_ = 0;
   run_fetched_ = 0;
   req_start_q_.clear();
   trace_base_valid_ = false;
 }
 
-bool Core::forwarded_by_store_(const RobEntry* until, Addr addr) const {
+NTC_HOT bool Core::forwarded_by_store_(const RobEntry* until,
+                                      Addr addr) const {
   const Addr word = word_of(addr);
-  for (const SbEntry& e : sb_) {
-    if (word_of(e.addr) == word) return true;
+  if (!pending_stores_.maybe_pending(word)) return false;
+  // Oldest first: the store buffer, then the ROB up to the load itself (a
+  // younger store must not forward).
+  for (std::size_t i = 0; i < sb_.size(); ++i) {
+    if (word_of(sb_[i].addr) == word) return true;
   }
-  for (const RobEntry& e : rob_) {
+  for (std::size_t i = 0; i < rob_.size(); ++i) {
+    const RobEntry& e = rob_[i];
     if (&e == until) break;
     if (e.op.kind == OpKind::kStore && word_of(e.op.addr) == word) return true;
   }
@@ -56,17 +76,17 @@ bool Core::forwarded_by_store_(const RobEntry* until, Addr addr) const {
 }
 
 bool Core::sb_holds_line_(Addr line) const {
-  for (const SbEntry& e : sb_) {
-    if (line_of(e.addr) == line) return true;
+  for (std::size_t i = 0; i < sb_.size(); ++i) {
+    if (line_of(sb_[i].addr) == line) return true;
   }
   return false;
 }
 
-void Core::fetch_(Cycle now) {
+NTC_HOT void Core::fetch_(Cycle now) {
   if (trace_ == nullptr) return;
   const std::vector<MicroOp>& ops = trace_->ops();
   unsigned fetched = 0;
-  while (cursor_ < ops.size() && rob_uops_ < cfg_.rob_entries &&
+  while (cursor_ < trace_records_ && rob_uops_ < cfg_.rob_entries &&
          fetched < cfg_.issue_width) {
     const MicroOp& op = ops[cursor_];
     // Open-loop service mode: a kTxBegin stamped with a future arrival
@@ -91,20 +111,22 @@ void Core::fetch_(Cycle now) {
         e.ready_at = now + cfg_.compute_latency;
         break;
       case OpKind::kLoad:
+        e.ready_at = kNeverCycle;  // until it hits, forwards or fills
         e.issue_cycle = now;
         break;
+      case OpKind::kStore:
+        pending_stores_.add(word_of(op.addr));
+        break;
       case OpKind::kTxBegin:
-        e.ready = true;
         // Latency counts from the request's ingress arrival (before the
         // forward hop), so the full network round trip is visible.
-        req_start_q_.push_back(
+        req_start_q_.push(
             {e.op.addr > 0 ? trace_base_ + static_cast<Cycle>(e.op.addr)
                            : now,
              e.op.net_rsp});
         break;
       default:
-        e.ready = true;  // readiness checked at retire for the rest
-        break;
+        break;  // readiness checked at retire for the rest
     }
     // The cursor moves on once the whole record is fetched.
     run_fetched_ += e.op.count;
@@ -114,24 +136,26 @@ void Core::fetch_(Cycle now) {
     }
     rob_uops_ += e.op.count;
     fetched += e.op.count;
-    rob_.push_back(std::move(e));
-    if (rob_.back().op.kind == OpKind::kLoad) {
-      unissued_q_.push_back(&rob_.back());
-    }
+    RobEntry& queued = rob_.push(e);
+    if (queued.op.kind == OpKind::kLoad) unissued_q_.push(&queued);
+  }
+}
+
+void Core::note_load_latency_(const RobEntry& e, Cycle latency) {
+  stat_load_lat_->add(static_cast<double>(latency));
+  if (e.op.persistent) {
+    stat_pload_lat_->add(static_cast<double>(latency));
+    stat_pload_hist_->add(latency);
   }
 }
 
 void Core::on_load_done_(RobEntry* e) {
-  e->ready = true;
-  const Cycle l = now_cache_ - e->issue_cycle;
-  stat_load_lat_->add(static_cast<double>(l));
-  if (e->op.persistent) {
-    stat_pload_lat_->add(static_cast<double>(l));
-    stat_pload_hist_->add(l);
-  }
+  // The fill drains before this cycle's tick, which retires the load.
+  e->ready_at = 0;
+  note_load_latency_(*e, now_cache_ - e->issue_cycle);
 }
 
-void Core::issue_loads_(Cycle now) {
+NTC_HOT void Core::issue_loads_(Cycle now) {
   // E.g. Kiln: an in-flight commit flush occupies this core's cache ports
   // — no new loads issue until the domain releases them.
   if (traits_.may_block_loads && domain_->loads_blocked(id_)) return;
@@ -140,20 +164,26 @@ void Core::issue_loads_(Cycle now) {
     RobEntry* e = unissued_q_.front();
     ++issued;
     if (forwarded_by_store_(e, e->op.addr)) {
-      e->issued = true;
-      e->ready = true;  // store-to-load forwarding: 1-cycle bypass
-      stat_load_lat_->add(1.0);
-      if (e->op.persistent) {
-        stat_pload_lat_->add(1.0);
-        stat_pload_hist_->add(1);
-      }
+      e->ready_at = now;  // store-to-load forwarding: 1-cycle bypass
+      note_load_latency_(*e, 1);
       unissued_q_.pop_front();
       continue;
     }
-    const bool ok = hier_->load(now, id_, e->op.addr, e->op.persistent,
-                                [this, e] { on_load_done_(e); });
-    if (!ok) break;  // resources exhausted; retry in order next cycle
-    e->issued = true;
+    const cache::AccessResult r =
+        hier_->load(now, id_, e->op.addr, e->op.persistent);
+    if (r.kind == cache::AccessKind::kRejected) {
+      break;  // resources exhausted; retry in order next cycle
+    }
+    if (r.kind == cache::AccessKind::kHit) {
+      // Timed as a completion event would be: it would fire at the first
+      // drain at or after r.ready, and drains run before ticks, so the
+      // load retires no earlier than the next tick. The latency runs to
+      // the tick before that drain, like a fill's (on_load_done_).
+      e->ready_at = std::max(r.ready, now + 1);
+      note_load_latency_(*e, e->ready_at - 1 - e->issue_cycle);
+    } else {
+      hier_->wait_for_fill(id_, e->op.addr, [this, e] { on_load_done_(e); });
+    }
     unissued_q_.pop_front();
   }
 }
@@ -207,6 +237,7 @@ void Core::drain_store_buffer_(Cycle now) {
         domain_->on_store_drained(now, id_, e.addr, e.value, e.tx);
       }
     }
+    pending_stores_.remove(word_of(e.addr));
     sb_.pop_front();
     ++drained;
   }
@@ -225,7 +256,7 @@ unsigned Core::retire_head_(Cycle now, unsigned slots) {
       break;
 
     case OpKind::kLoad:
-      if (!e.ready) {
+      if (now < e.ready_at) {
         note_stall_(Stall::kLoad);
         return 0;
       }
@@ -241,7 +272,7 @@ unsigned Core::retire_head_(Cycle now, unsigned slots) {
       s.value = e.op.value;
       s.persistent = e.op.persistent;
       s.tx = e.op.persistent ? mode_reg_ : kNoTx;
-      sb_.push_back(s);
+      sb_.push(s);
       if (traits_.observes_tx_stores && s.persistent && s.tx != kNoTx) {
         domain_->on_store_retired(id_, s.tx);
       }
@@ -375,7 +406,7 @@ void Core::tick(Cycle now) {
   }
   // A write-combining buffer does not hold data forever: once the frontend
   // has nothing left the open line flushes on its own (WC timeout).
-  if (trace_ != nullptr && cursor_ >= trace_->ops().size() && rob_.empty() &&
+  if (trace_ != nullptr && cursor_ >= trace_records_ && rob_.empty() &&
       !wc_words_.empty()) {
     flush_wc_buffer_(now);
   }
@@ -398,7 +429,7 @@ Cycle Core::next_event_cycle(Cycle now) const {
   // progress and the stall counters (coreN.stall.*, ntc_stall_cycles) are
   // observable every blocked cycle.
   if (!rob_.empty() || !sb_.empty() || !nt_pending_.empty()) return now + 1;
-  if (trace_ == nullptr || cursor_ >= trace_->ops().size()) {
+  if (cursor_ >= trace_records_) {
     // Trace done, buffers empty. An open write-combining line flushes on
     // its own (WC timeout) at the next tick; after that only flush acks
     // remain, and those are event-queue driven.
@@ -416,8 +447,7 @@ Cycle Core::next_event_cycle(Cycle now) const {
 }
 
 bool Core::finished() const {
-  return trace_ != nullptr && cursor_ >= trace_->ops().size() &&
-         rob_.empty() &&
+  return trace_ != nullptr && cursor_ >= trace_records_ && rob_.empty() &&
          sb_.empty() && nt_pending_.empty() && wc_words_.empty() &&
          outstanding_log_flushes_ == 0 && outstanding_data_flushes_ == 0;
 }

@@ -11,12 +11,14 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/hierarchy.hpp"
 #include "check/events.hpp"
 #include "mem/request.hpp"
 #include "common/config.hpp"
 #include "common/hot.hpp"
+#include "common/ring.hpp"
 #include "common/stat_handle.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -24,6 +26,30 @@
 #include "core/trace.hpp"
 
 namespace ntcsim::core {
+
+/// Pending stores per word, counted in a flat power-of-two table indexed
+/// by a hash of the word address. A store counts from its fetch until its
+/// store-buffer entry drains, so a zero slot proves that no store to the
+/// word is pending; a nonzero slot only says one may be (other words
+/// share the slot).
+class PendingStores {
+ public:
+  /// `max_pending`: most stores that can be pending at once.
+  explicit PendingStores(std::size_t max_pending);
+
+  void add(Addr word) { ++counts_[slot(word)]; }
+  void remove(Addr word) { --counts_[slot(word)]; }
+  bool maybe_pending(Addr word) const { return counts_[slot(word)] != 0; }
+  std::size_t slot(Addr word) const {
+    // Fibonacci hashing of the word index: its top bits pick the slot.
+    return static_cast<std::size_t>(
+        ((word / kWordBytes) * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+ private:
+  std::vector<std::uint32_t> counts_;
+  unsigned shift_;
+};
 
 class Core {
  public:
@@ -55,18 +81,20 @@ class Core {
   void set_check_sink(check::CheckSink* sink) { sink_ = sink; }
 
  private:
-  // Deques never relocate surviving elements, so the hierarchy's fill
-  // callback can hold a RobEntry* directly: a load entry retires only
-  // after it became ready, i.e. after the callback fired.
+  // Rings never relocate queued elements, so the unissued-load queue and
+  // the hierarchy's fill callback can hold a RobEntry* directly: a load
+  // entry retires only after it became ready, i.e. after the callback
+  // fired.
   //
   // The compute µops fetched from one run in one cycle share an entry:
   // op.count holds how many are left and they share one ready_at. Every
   // other entry holds one µop (op.count == 1).
   struct RobEntry {
     MicroOp op;
-    bool ready = false;
-    bool issued = false;    ///< Loads: request sent to the hierarchy.
-    Cycle ready_at = 0;     ///< Compute ops.
+    /// First cycle the entry may retire: compute runs, and loads once they
+    /// hit, forward or fill (kNeverCycle until then). Other kinds check
+    /// their readiness at retire.
+    Cycle ready_at = 0;
     Cycle issue_cycle = 0;  ///< Loads: latency measurement start.
   };
   struct SbEntry {
@@ -94,8 +122,8 @@ class Core {
     kCount,
   };
 
-  void fetch_(Cycle now);
-  void issue_loads_(Cycle now);
+  NTC_HOT void fetch_(Cycle now);
+  NTC_HOT void issue_loads_(Cycle now);
   void drain_store_buffer_(Cycle now);
   void flush_wc_buffer_(Cycle now);
   void drain_nt_writes_(Cycle now);
@@ -103,7 +131,8 @@ class Core {
   /// the µops retired (0 = the head is blocked, its stall counted).
   unsigned retire_head_(Cycle now, unsigned slots);
   void on_load_done_(RobEntry* e);
-  bool forwarded_by_store_(const RobEntry* until, Addr addr) const;
+  void note_load_latency_(const RobEntry& e, Cycle latency);
+  NTC_HOT bool forwarded_by_store_(const RobEntry* until, Addr addr) const;
   bool sb_holds_line_(Addr line) const;
   void note_stall_(Stall reason) {
     stat_stalls_[static_cast<std::size_t>(reason)]->inc();
@@ -119,6 +148,7 @@ class Core {
   std::string prefix_;
 
   const Trace* trace_ = nullptr;
+  std::size_t trace_records_ = 0;  ///< trace_->ops().size(), cached.
   std::size_t cursor_ = 0;  ///< Next record of trace_->ops().
   /// µops of the record at cursor_ already fetched (only a compute run
   /// is ever part-fetched).
@@ -128,10 +158,13 @@ class Core {
   /// math rebase them onto the absolute clock.
   Cycle trace_base_ = 0;
   bool trace_base_valid_ = false;
-  std::deque<RobEntry> rob_;
+  // Every entry holds at least one µop, so the ROB and the loads waiting
+  // in it fit in cfg_.rob_entries entries.
+  Ring<RobEntry> rob_;
   unsigned rob_uops_ = 0;  ///< µops in rob_ (cfg_.rob_entries is in µops).
-  std::deque<RobEntry*> unissued_q_;  ///< Loads awaiting issue, in order.
-  std::deque<SbEntry> sb_;
+  Ring<RobEntry*> unissued_q_;  ///< Loads awaiting issue, in order.
+  Ring<SbEntry> sb_;
+  PendingStores pending_stores_;  ///< Stores in rob_ or sb_, per word.
 
   // §4.2 registers: mode/TxID (0 = normal mode) and next-transaction-ID.
   TxId mode_reg_ = kNoTx;
@@ -155,12 +188,13 @@ class Core {
   /// mode stamped one, else the fetch cycle) and popped at the committed
   /// kTxEnd retire. Transactions are serial per core, so FIFO order holds.
   /// Cross-shard cluster requests carry a response-path interconnect delay
-  /// that is added to the recorded latency at retire.
+  /// that is added to the recorded latency at retire. Every open request
+  /// but the youngest has its kTxEnd in the ROB: cfg_.rob_entries + 1.
   struct ReqStart {
     Cycle start = 0;
     std::uint32_t net_rsp = 0;
   };
-  std::deque<ReqStart> req_start_q_;
+  Ring<ReqStart> req_start_q_;
 
   AccumulatorHandle stat_load_lat_;
   AccumulatorHandle stat_pload_lat_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -53,28 +52,40 @@ bool MemoryController::enqueue(MemRequest req, Cycle now) {
         stat_wq_forwards_->inc();
         stat_reads_->inc();
         if (req.on_complete) {
-          auto cb = req.on_complete;
-          auto done = std::make_shared<MemRequest>(std::move(req));
+          const std::uint32_t slot = park_(std::move(req));
           events_->schedule_at(now + cfg_.bus_latency,
-                               [cb, done] { cb(*done); });
+                               [this, slot] { complete_(slot); });
         }
         return true;
       }
     }
-    Pending p{std::move(req), now};
-    p.coord = map_.decode(p.req.line_addr);
-    p.flat_bank = map_.flat_bank(p.coord);
-    read_q_.push_back(std::move(p));
+    push_(read_q_, std::move(req), now);
     reads_blocked_until_ = kUnscanned;
+    wake_at_ = 0;
     return true;
   }
   if (write_queue_full()) return false;
-  Pending p{std::move(req), now};
+  push_(write_q_, std::move(req), now);
+  writes_blocked_until_ = kUnscanned;
+  wake_at_ = 0;
+  return true;
+}
+
+void MemoryController::push_(std::deque<Pending>& q, MemRequest&& req,
+                             Cycle now) {
+  Pending p;
+  p.req = std::move(req);
+  p.arrival = now;
   p.coord = map_.decode(p.req.line_addr);
   p.flat_bank = map_.flat_bank(p.coord);
-  write_q_.push_back(std::move(p));
-  writes_blocked_until_ = kUnscanned;
-  return true;
+  // §3: "different write requests of conflicted addresses are issued to the
+  // NVM in program order" — an entry waits while an older same-line entry
+  // is still queued.
+  const Addr line = p.req.line_addr;
+  p.behind = std::any_of(q.begin(), q.end(), [line](const Pending& o) {
+    return o.req.line_addr == line;
+  });
+  q.push_back(std::move(p));
 }
 
 MemoryController::Scan MemoryController::scan_(const std::deque<Pending>& q,
@@ -82,6 +93,7 @@ MemoryController::Scan MemoryController::scan_(const std::deque<Pending>& q,
   Scan s;
   for (std::size_t i = 0; i < q.size(); ++i) {
     const Pending& p = q[i];
+    if (p.behind) continue;
     const Bank& bank = banks_[p.flat_bank];
     const bool hit = bank.row_hit(p.coord.row);
     Cycle ready = bank.busy_until();
@@ -93,29 +105,15 @@ MemoryController::Scan MemoryController::scan_(const std::deque<Pending>& q,
     if (cfg_.twtr > 0 && p.req.op == MemOp::kRead) {
       ready = std::max(ready, last_write_end_[p.coord.rank] + cfg_.twtr);
     }
-    // The same-line check runs last, and only for an entry that could
-    // change the result: most entries wait on a busy bank.
     if (ready > now) {
-      if (ready < s.ready && !behind_same_line_(q, i)) s.ready = ready;
+      s.ready = std::min(s.ready, ready);
       continue;
     }
-    if (behind_same_line_(q, i)) continue;
     if (hit) return {static_cast<int>(i), now};  // FR: row hit first.
     if (s.pick < 0) s.pick = static_cast<int>(i);
   }
   if (s.pick >= 0) s.ready = now;  // FCFS among bank-ready row misses.
   return s;
-}
-
-bool MemoryController::behind_same_line_(const std::deque<Pending>& q,
-                                         std::size_t i) {
-  // §3: "different write requests of conflicted addresses are issued to the
-  // NVM in program order" — an entry waits while an older same-line entry
-  // is still queued.
-  const Addr line = q[i].req.line_addr;
-  return std::any_of(
-      q.begin(), q.begin() + static_cast<std::ptrdiff_t>(i),
-      [line](const Pending& p) { return p.req.line_addr == line; });
 }
 
 Cycle MemoryController::next_event_cycle(Cycle now) const {
@@ -124,6 +122,7 @@ Cycle MemoryController::next_event_cycle(Cycle now) const {
   // deadline passes AND every bank of the rank is idle.
   for (unsigned r = 0; r < next_refresh_.size(); ++r) {
     Cycle t = std::max(next_refresh_[r], now + 1);
+    if (t >= next) continue;  // busy banks only delay it further
     for (unsigned b = 0; b < map_.banks_per_rank(); ++b) {
       t = std::max(t, banks_[r * map_.banks_per_rank() + b].busy_until());
     }
@@ -197,6 +196,21 @@ void MemoryController::tick(Cycle now) {
   }
 }
 
+void MemoryController::verify_idle_tick_(Cycle now) {
+  // An issue always schedules its completion event.
+  const std::uint64_t pushes = events_->total_pushes();
+  const std::uint64_t refreshes = stat_refreshes_->value();
+  const bool draining = draining_;
+  tick(now);
+  NTC_CHECK_MSG(events_->total_pushes() == pushes &&
+                    stat_refreshes_->value() == refreshes &&
+                    draining_ == draining,
+                "skip.verify: %s did work at cycle %llu, before the cycle "
+                "%llu its next_event_cycle() promised",
+                name_.c_str(), static_cast<unsigned long long>(now),
+                static_cast<unsigned long long>(wake_at_));
+}
+
 bool MemoryController::try_issue_(std::deque<Pending>& q, Cycle& blocked_until,
                                   Cycle now) {
   if (now < blocked_until) return false;
@@ -210,8 +224,16 @@ bool MemoryController::try_issue_(std::deque<Pending>& q, Cycle& blocked_until,
 }
 
 void MemoryController::issue_(std::deque<Pending>& q, int i, Cycle now) {
-  Pending p = std::move(q[static_cast<std::size_t>(i)]);
-  q.erase(q.begin() + i);
+  const auto pos = q.begin() + i;
+  Pending p = std::move(*pos);
+  // It was the oldest entry of its line: the next one of that line, if
+  // any, is now.
+  const Addr line = p.req.line_addr;
+  const auto next = std::find_if(pos + 1, q.end(), [line](const Pending& o) {
+    return o.req.line_addr == line;
+  });
+  if (next != q.end()) next->behind = false;
+  q.erase(pos);
   clear_schedule_();
   const BankCoord& c = p.coord;
   Bank& bank = banks_[p.flat_bank];
@@ -247,15 +269,32 @@ void MemoryController::issue_(std::deque<Pending>& q, int i, Cycle now) {
   }
 
   ++in_flight_;
-  auto done_req = std::make_shared<MemRequest>(std::move(p.req));
-  events_->schedule_at(completion + cfg_.bus_latency, [this, done_req] {
+  const std::uint32_t slot = park_(std::move(p.req));
+  events_->schedule_at(completion + cfg_.bus_latency, [this, slot] {
     NTC_CHECK_MSG(in_flight_ > 0,
                   "%s: completion for line 0x%" PRIx64
                   " with no request in flight",
-                  name_.c_str(), done_req->line_addr);
+                  name_.c_str(), slots_[slot].line_addr);
     --in_flight_;
-    if (done_req->on_complete) done_req->on_complete(*done_req);
+    complete_(slot);
   });
+}
+
+std::uint32_t MemoryController::park_(MemRequest&& req) {
+  if (free_slots_.empty()) {
+    slots_.push_back(std::move(req));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = std::move(req);
+  return slot;
+}
+
+void MemoryController::complete_(std::uint32_t slot) {
+  MemRequest done = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
+  if (done.on_complete) done.on_complete(done);
 }
 
 WearStats MemoryController::wear() const {

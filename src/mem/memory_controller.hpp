@@ -44,7 +44,8 @@ class MemoryController {
                    StatSet& stats);
 
   /// Enqueue; returns false when the respective queue is full (the caller
-  /// must retry — upstream components carry their own retry buffers).
+  /// must retry — upstream components carry their own retry buffers). A
+  /// request that joins a queue wakes a sleeping controller (tick_when_due).
   bool enqueue(MemRequest req, Cycle now);
 
   bool read_queue_full() const { return read_q_.size() >= cfg_.read_queue; }
@@ -54,6 +55,20 @@ class MemoryController {
 
   /// Advance one memory-channel cycle: pick at most one request to issue.
   void tick(Cycle now);
+
+  /// tick(now), but only from the cycle next_event_cycle() reported after
+  /// the last tick; a request that joins a queue wakes the controller at
+  /// once. Exact as long as every enqueue for cycle `now` happens before
+  /// this call. With `verify` (skip.verify) a cycle the controller sleeps
+  /// through is ticked anyway, and aborts if it did work.
+  NTC_HOT void tick_when_due(Cycle now, bool verify) {
+    if (now >= wake_at_) {
+      tick(now);
+      wake_at_ = next_event_cycle(now);
+    } else if (verify) {
+      verify_idle_tick_(now);
+    }
+  }
 
   /// Earliest cycle > now at which tick() could do work (quiescence
   /// contract): the earliest schedulable queue entry under the frozen
@@ -82,6 +97,10 @@ class MemoryController {
     /// address decode per scan element.
     BankCoord coord;
     unsigned flat_bank = 0;
+    /// An older entry of the same queue targets the same line, so this one
+    /// waits for it (program-order writes, §3). Set at enqueue; cleared
+    /// when that older entry issues.
+    bool behind = false;
   };
 
   /// One FR-FCFS pass over a queue at cycle `now`.
@@ -98,13 +117,22 @@ class MemoryController {
   /// queued (program-order writes, §3); otherwise it is issuable once its
   /// bank is free and its rank's tFAW/tWTR windows have cleared.
   Scan scan_(const std::deque<Pending>& q, Cycle now) const;
-  /// An older entry of `q` targets the same line as q[i].
-  static bool behind_same_line_(const std::deque<Pending>& q, std::size_t i);
+  /// Appends `req` to `q`, decoded and flagged `behind` any older
+  /// same-line entry.
+  void push_(std::deque<Pending>& q, MemRequest&& req, Cycle now);
   /// Issue from `q` if anything is issuable now; a scan that finds nothing
   /// caches its ready cycle in `blocked_until`, and until that cycle the
   /// queue is not rescanned.
   bool try_issue_(std::deque<Pending>& q, Cycle& blocked_until, Cycle now);
   void issue_(std::deque<Pending>& q, int i, Cycle now);
+  /// Parks `req` in a free completion slot until its event fires.
+  std::uint32_t park_(MemRequest&& req);
+  /// Frees `slot`, then fires its request's on_complete (which may
+  /// enqueue, and so reuse the slot).
+  void complete_(std::uint32_t slot);
+  /// tick(now) at a cycle before wake_at_, failing loudly if it issued a
+  /// request, fired a refresh or flipped the drain mode.
+  void verify_idle_tick_(Cycle now);
   /// The next tick enters or leaves write-drain mode.
   bool drain_flip_due_() const;
   /// Forget both cached cycles: the bank/rank state changed.
@@ -136,6 +164,11 @@ class MemoryController {
   std::vector<Cycle> last_write_end_;  ///< Per rank, for tWTR.
   bool draining_ = false;
   unsigned in_flight_ = 0;
+  /// Requests whose completion event is pending, by slot; free_slots_
+  /// lists the reusable ones.
+  std::vector<MemRequest> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  Cycle wake_at_ = 0;  ///< tick_when_due(): the next cycle worth a tick.
 
   CounterHandle stat_reads_;
   CounterHandle stat_writes_;

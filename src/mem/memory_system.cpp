@@ -101,8 +101,15 @@ bool MemorySystem::read_queue_full(Addr line_addr) const {
 }
 
 void MemorySystem::tick(Cycle now) {
-  dram_.tick(now);
-  for (auto& ch : nvm_channels_) ch->tick(now);
+  if (!skip_.enabled) {
+    dram_.tick(now);
+    for (auto& ch : nvm_channels_) ch->tick(now);
+    return;
+  }
+  // Every enqueue for `now` has happened by now: events drained first, and
+  // the node ticks its cores, NTCs, Kiln unit and hierarchy before memory.
+  dram_.tick_when_due(now, skip_.verify);
+  for (auto& ch : nvm_channels_) ch->tick_when_due(now, skip_.verify);
 }
 
 WearStats MemorySystem::nvm_wear() const {

@@ -67,6 +67,11 @@ class MemorySystem {
   /// the controller accepts it (the write queue is power-fail protected),
   /// not when the array write completes.
   void set_adr_domain(bool adr) { adr_domain_ = adr; }
+  /// The cluster's clock-skip settings. With skipping on, a controller
+  /// sleeps until its own next_event_cycle (MemoryController::tick_when_due)
+  /// and skip.verify ticks the slept cycles to check them; with skipping
+  /// off (`--no-skip`) every controller ticks every cycle.
+  void set_skip(const SkipConfig& skip) { skip_ = skip; }
 
   bool is_nvm(Addr a) const { return space_.is_persistent(a); }
   const MemoryController& dram() const { return dram_; }
@@ -94,6 +99,7 @@ class MemorySystem {
   NvmWriteObserver* observer_ = nullptr;
   check::CheckSink* sink_ = nullptr;
   bool adr_domain_ = false;
+  SkipConfig skip_;
 };
 
 }  // namespace ntcsim::mem

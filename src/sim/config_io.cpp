@@ -174,10 +174,12 @@ const std::map<std::string, Key>& registry() {
 
     k["core.issue_width"] =
         number(field(&SystemConfig::core, &CoreConfig::issue_width), {1});
-    k["core.rob"] =
-        number(field(&SystemConfig::core, &CoreConfig::rob_entries), {1});
+    // The ROB and store buffer are rings allocated whole at construction.
+    k["core.rob"] = number(
+        field(&SystemConfig::core, &CoreConfig::rob_entries), {1, 65536});
     k["core.store_buffer"] = number(
-        field(&SystemConfig::core, &CoreConfig::store_buffer_entries), {1});
+        field(&SystemConfig::core, &CoreConfig::store_buffer_entries),
+        {1, 65536});
 
     // The NTC needs at least two entries of kLineBytes.
     k["ntc.size_bytes"] =

@@ -13,6 +13,7 @@ Cluster::Cluster(const SystemConfig& cfg, SystemOptions opts) : cfg_(cfg) {
   nodes_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<Node>(cfg_, i, n, events_, &now_, opts));
+    nodes_.back()->memory().set_skip(cfg_.skip);
   }
   // Skip accounting lives on node 0's StatSet, like the cluster's other
   // shared state; resolved once here (the PR 2 handle pattern).

@@ -9,6 +9,7 @@
 // timeout. Also checks that --profile writes its report from a single
 // ntcsim cell and from a bench binary, and that --stats dumps every node.
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -30,6 +31,20 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr unsigned kTimeoutSeconds = 10;
+
+// Sanitizer runtimes reserve terabytes of address space up front, so an
+// address-space cap cannot apply to a sanitized binary.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
 
 const char* const kBadValues[] = {"abc", "4abc", "-1", "0",
                                   "1e30", "99999999999999999999"};
@@ -71,9 +86,12 @@ std::string read_file(const fs::path& p) {
 
 /// Run `argv` in a scratch directory with the NTCSIM_* variables cleared
 /// and `env` set, stdout and stderr captured. The child arms an alarm
-/// before exec, so a hang ends in SIGALRM.
+/// before exec, so a hang ends in SIGALRM; a nonzero `address_space_cap`
+/// (bytes, ignored under sanitizers) turns a huge allocation into a
+/// bad_alloc instead of a host out of memory.
 Outcome run(const std::vector<std::string>& argv,
-            const std::vector<std::pair<std::string, std::string>>& env = {}) {
+            const std::vector<std::pair<std::string, std::string>>& env = {},
+            rlim_t address_space_cap = 0) {
   const fs::path& dir = scratch_dir();
   const fs::path out_path = dir / "stdout.txt";
   const fs::path err_path = dir / "stderr.txt";
@@ -95,6 +113,10 @@ Outcome run(const std::vector<std::string>& argv,
       args.push_back(const_cast<char*>(a.c_str()));
     }
     args.push_back(nullptr);
+    if (address_space_cap > 0 && !kSanitized) {
+      const rlimit cap{address_space_cap, address_space_cap};
+      ::setrlimit(RLIMIT_AS, &cap);
+    }
     ::alarm(kTimeoutSeconds);
     ::execv(args[0], args.data());
     ::_exit(127);
@@ -229,6 +251,28 @@ TEST(BadInput, CacheAndMemoryGeometry) {
                 false);
     cases.check(std::string("--matrix --set ") + set,
                 run({NTC_NTCSIM_BIN, "--matrix", "--set", set}), false);
+  }
+  cases.expect_clean();
+}
+
+TEST(BadInput, QueueSizesThatPreallocate) {
+  // core.rob and core.store_buffer size rings that are allocated whole
+  // when a core is built (2^32 - 1 ROB entries would be ~200 GB). Both stop
+  // at 65536, and that bound itself runs. Capped at 4 GiB of address space.
+  constexpr rlim_t kCap = rlim_t{4} << 30;
+  Cases cases;
+  for (const std::string key : {"core.rob", "core.store_buffer"}) {
+    for (const char* value : {"4294967295", "65537"}) {
+      const std::string set = key + "=" + value;
+      cases.check("--set " + set,
+                  run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--set", set})),
+                      {}, kCap),
+                  false);
+    }
+    const Outcome o = run(
+        with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--set", key + "=65536"})),
+        {}, kCap);
+    EXPECT_EQ(o.exit_code, 0) << key << "=65536\n" << o.err;
   }
   cases.expect_clean();
 }

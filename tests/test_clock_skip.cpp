@@ -12,10 +12,13 @@
 //     core's arrival-gated fetch in service mode.
 //  2. Bit-identity: skip-on, skip-off (--no-skip) and skip.verify runs of
 //     the same cell must produce byte-identical CSV rows across
-//     mechanisms, workloads, node counts and service mode. skip.verify
-//     additionally single-steps every claimed window and aborts (via
-//     NTC_CHECK) if any supposedly idle cycle did work, so merely running
-//     the sweep under the tiny preset (verify on) is itself a proof.
+//     mechanisms, workloads, node counts and service mode. Skip-off also
+//     ticks every memory controller every cycle, so the same rows pin the
+//     controllers' sleep between due cycles. skip.verify additionally
+//     single-steps every claimed window, and ticks every cycle a
+//     controller sleeps through, and aborts (via NTC_CHECK) if any
+//     supposedly idle cycle did work, so merely running the sweep under
+//     the tiny preset (verify on) is itself a proof.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -63,6 +63,87 @@ TEST(Core, StoreToLoadForwardingIsFast) {
   EXPECT_DOUBLE_EQ(sys.stats().accumulator_mean("core0.load_latency"), 1.0);
 }
 
+// Forwarding checks a per-word count of pending stores before it scans the
+// store buffer and the ROB. Each trace below holds one load; L1 is slowed
+// to 5 cycles so no cache access passes for the 1-cycle bypass.
+struct OneLoad {
+  double latency;
+  std::uint64_t count;
+};
+
+OneLoad run_one_load(const Trace& t) {
+  SystemConfig cfg = tiny(Mechanism::kOptimal);
+  cfg.l1.latency_cycles = 5;
+  System sys(cfg);
+  sys.load_trace(0, t);
+  sys.run();
+  return {sys.stats().accumulator_sum("core0.load_latency"),
+          sys.stats().accumulator_count("core0.load_latency")};
+}
+
+TEST(Forwarding, OlderStoreStillInTheRobForwards) {
+  // Fetched in one cycle: the load issues before the store retires.
+  const Addr a = SystemConfig::tiny().address_space.heap_base();
+  Trace t;
+  t.push(MicroOp::store(a, 7, true));
+  t.push(MicroOp::load(a, true));
+  const OneLoad r = run_one_load(t);
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_EQ(r.latency, 1.0);
+}
+
+TEST(Forwarding, OlderStoreInTheStoreBufferForwards) {
+  // Five missing stores exhaust the four L1 MSHRs, so the store buffer
+  // stalls behind the fifth and still holds the store to `a` when the
+  // load, fetched after the run, issues.
+  const Addr heap = SystemConfig::tiny().address_space.heap_base();
+  const Addr a = heap + 64 * 4096;
+  Trace t;
+  for (Addr i = 0; i < 5; ++i) t.push(MicroOp::store(heap + i * 4096, i, true));
+  t.push(MicroOp::store(a, 7, true));
+  t.push(MicroOp::compute(40));
+  t.push(MicroOp::load(a, true));
+  const OneLoad r = run_one_load(t);
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_EQ(r.latency, 1.0);
+}
+
+TEST(Forwarding, YoungerStoreDoesNotForward) {
+  const Addr a = SystemConfig::tiny().address_space.heap_base();
+  Trace t;
+  t.push(MicroOp::load(a, true));
+  t.push(MicroOp::store(a, 7, true));
+  const OneLoad r = run_one_load(t);
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_GT(r.latency, 100.0);  // the cold miss
+}
+
+TEST(Forwarding, WordsSharingACountSlotDoNotForward) {
+  SystemConfig cfg = tiny(Mechanism::kOptimal);
+  const PendingStores table(std::size_t{cfg.core.rob_entries} +
+                            cfg.core.store_buffer_entries);
+  const Addr a = cfg.address_space.heap_base();
+  Addr b = a + kWordBytes;
+  while (table.slot(b) != table.slot(a)) b += kWordBytes;
+  Trace t;
+  t.push(MicroOp::store(a, 7, true));
+  t.push(MicroOp::load(b, true));
+  const OneLoad r = run_one_load(t);
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_GT(r.latency, 100.0);  // the cold miss
+}
+
+TEST(Forwarding, StoreDrainedBeforeTheLoadIssuesDoesNotForward) {
+  const Addr a = SystemConfig::tiny().address_space.heap_base();
+  Trace t;
+  t.push(MicroOp::store(a, 7, true));
+  t.push(MicroOp::compute(4000));  // the store drains and its line fills
+  t.push(MicroOp::load(a, true));
+  const OneLoad r = run_one_load(t);
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_EQ(r.latency, 5.0);  // an L1 hit
+}
+
 TEST(Core, TxRegistersAssignSequentialIds) {
   System sys(tiny(Mechanism::kOptimal));
   Trace t;
@@ -400,6 +481,245 @@ TEST(CoreRuns, TimingMatchesThePerUopCore) {
                                           kStallNames[i]),
                 c.stalls[i])
           << kStallNames[i];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hit timing. A cache hit is not an event: the hierarchy reports the cycle
+// its data reaches the core and the ROB entry keeps it, and the load
+// retires from that cycle on, never in its issue tick. The expected values
+// below were recorded with a core whose hits completed through scheduled
+// events, over l1.latency {0, 1, 3} and a raised l2/llc latency, under TC,
+// SP and Kiln, with persistent and volatile loads. Core 1 commits
+// transactions meanwhile, so under Kiln its commit flushes block the shared
+// LLC while core 0's LLC hits look their lines up.
+
+// Each round walks one line through every level: a miss, L1 hits, an L2
+// hit once two lines of its L1 set pushed it out, and an LLC hit once two
+// more pushed it out of L2. The tiny preset's L1 has 8 sets and 2 ways, its
+// L2 16 sets and 2 ways and its LLC 16 sets and 4 ways: lines 8 apart share
+// an L1 set and lines 16 apart share every set. Round r uses LLC sets r and
+// r + 8; the 640-µop runs let each load finish before the next one issues.
+Trace hit_levels_trace(Addr base, bool persistent) {
+  Trace t;
+  auto run = [&t](int n) {
+    for (int i = 0; i < n; ++i) t.push(MicroOp::compute());
+  };
+  auto load = [&t, persistent](Addr a) {
+    t.push(MicroOp::load(a, persistent));
+  };
+  for (Addr r = 0; r < 6; ++r) {
+    const Addr a = base + r * kLineBytes;
+    load(a);
+    run(640);  // miss
+    load(a);
+    load(a + 8);
+    run(3);  // L1 hits
+    load(a + 8 * kLineBytes);
+    run(640);
+    load(a + 16 * kLineBytes);
+    run(640);  // a leaves L1
+    load(a + 16);
+    run(640);  // L2 hit
+    load(a + 32 * kLineBytes);
+    run(640);
+    load(a + 48 * kLineBytes);
+    run(640);  // a leaves L2
+    load(a + 24);
+    run(5);  // LLC hit
+  }
+  return t;
+}
+
+// Transactions of four persistent stores, one line in each of the LLC sets
+// the loads leave alone (6, 7, 14 and 15).
+Trace committer_trace(Addr base) {
+  Trace t;
+  for (TxId tx = 1; tx <= 100; ++tx) {
+    t.push(MicroOp::tx_begin(tx));
+    for (const Addr line : {6, 7, 14, 15}) {
+      t.push(MicroOp::store(base + line * kLineBytes, tx, true));
+    }
+    t.push(MicroOp::tx_end());
+    for (int i = 0; i < 400; ++i) t.push(MicroOp::compute());
+  }
+  return t;
+}
+
+struct HitTiming {
+  Cycle end_cycle = 0;
+  std::uint64_t retired = 0;
+  // load_latency and pload_latency: sum, count, max.
+  std::array<std::uint64_t, 3> load{};
+  std::array<std::uint64_t, 3> pload{};
+  std::string pload_hist;  ///< "bucket:count" of every nonzero bucket
+  std::array<std::uint64_t, std::size(kStallNames)> stalls{};
+  bool operator==(const HitTiming&) const = default;
+};
+
+struct HitTimingCase {
+  Mechanism mech;
+  unsigned l1_latency;
+  unsigned l2_latency;
+  unsigned llc_latency;
+  bool persistent;
+  HitTiming expected;
+};
+
+HitTiming run_hit_timing(const HitTimingCase& c) {
+  SystemConfig cfg = tiny(c.mech);
+  cfg.cores = 2;
+  cfg.l1.latency_cycles = c.l1_latency;
+  cfg.l2.latency_cycles = c.l2_latency;
+  cfg.llc.latency_cycles = c.llc_latency;
+  System sys(cfg);
+  const Addr loads = c.persistent ? cfg.address_space.heap_base() : 1 << 20;
+  sys.load_trace(0, hit_levels_trace(loads, c.persistent));
+  sys.load_trace(1, committer_trace(cfg.address_space.heap_base() +
+                                    (1 << 20)));
+  sys.run();
+  StatSet& st = sys.stats();
+  auto acc = [&st](const char* name) {
+    const Accumulator& a = st.accumulator(name);
+    return std::array<std::uint64_t, 3>{static_cast<std::uint64_t>(a.sum()),
+                                        a.count(),
+                                        static_cast<std::uint64_t>(a.max())};
+  };
+  HitTiming r;
+  r.end_cycle = sys.now();
+  r.retired = st.counter_value("core0.retired");
+  r.load = acc("core0.load_latency");
+  r.pload = acc("core0.pload_latency");
+  const Histogram& h = st.histogram("core0.pload_latency_hist");
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    if (h.bucket(b) == 0) continue;
+    if (!r.pload_hist.empty()) r.pload_hist += ' ';
+    r.pload_hist += std::to_string(b) + ':' + std::to_string(h.bucket(b));
+  }
+  for (std::size_t i = 0; i < std::size(kStallNames); ++i) {
+    r.stalls[i] =
+        st.counter_value(std::string("core0.stall.") + kStallNames[i]);
+  }
+  return r;
+}
+
+constexpr Mechanism kKiln = Mechanism::kKiln;
+const HitTimingCase kHitTimingCases[] = {
+    {kTc, 0, 3, 6, true,
+     {27894, 23142, {5828, 54, 361}, {5828, 54, 361},
+      "1:12 2:6 4:6 8:25 9:5",
+      {0, 4845, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 0, 3, 6, false,
+     {24607, 23142, {1452, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 1, 3, 6, true,
+     {27894, 23142, {5840, 54, 361}, {5840, 54, 361},
+      "1:12 3:6 4:6 8:25 9:5",
+      {0, 4845, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 1, 3, 6, false,
+     {24607, 23142, {1464, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 3, 3, 6, true,
+     {27894, 23142, {5888, 54, 361}, {5888, 54, 361},
+      "2:12 3:6 4:6 8:25 9:5",
+      {0, 4845, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 3, 3, 6, false,
+     {24607, 23142, {1512, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 1, 9, 20, true,
+     {27894, 23142, {5996, 54, 361}, {5996, 54, 361},
+      "1:12 4:6 5:6 8:25 9:5",
+      {0, 4845, 0, 0, 0, 0, 0, 0, 0}}},
+    {kTc, 1, 9, 20, false,
+     {24607, 23142, {1620, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 0, 3, 6, true,
+     {51191, 23142, {5253, 54, 265}, {5253, 54, 265},
+      "1:12 2:6 4:6 8:29 9:1",
+      {0, 4270, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 0, 3, 6, false,
+     {46866, 23142, {1452, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 1, 3, 6, true,
+     {51191, 23142, {5265, 54, 265}, {5265, 54, 265},
+      "1:12 3:6 4:6 8:29 9:1",
+      {0, 4270, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 1, 3, 6, false,
+     {46866, 23142, {1464, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 3, 3, 6, true,
+     {51191, 23142, {5313, 54, 265}, {5313, 54, 265},
+      "2:12 3:6 4:6 8:29 9:1",
+      {0, 4270, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 3, 3, 6, false,
+     {46866, 23142, {1512, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 1, 9, 20, true,
+     {51191, 23142, {5421, 54, 265}, {5421, 54, 265},
+      "1:12 4:6 5:6 8:29 9:1",
+      {0, 4270, 0, 0, 0, 0, 0, 0, 0}}},
+    {kSp, 1, 9, 20, false,
+     {46866, 23142, {1620, 54, 96}, {0, 0, 0},
+      "",
+      {0, 469, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 0, 3, 6, true,
+     {10202, 23142, {4355, 54, 323}, {4355, 54, 323},
+      "1:12 2:6 7:25 8:9 9:2",
+      {0, 2989, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 0, 3, 6, false,
+     {10202, 23142, {3101, 54, 176}, {0, 0, 0},
+      "",
+      {0, 1762, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 1, 3, 6, true,
+     {10202, 23142, {4366, 54, 323}, {4366, 54, 323},
+      "1:12 3:6 7:25 8:9 9:2",
+      {0, 2990, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 1, 3, 6, false,
+     {10202, 23142, {3109, 54, 176}, {0, 0, 0},
+      "",
+      {0, 1763, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 3, 3, 6, true,
+     {10202, 23142, {4412, 54, 323}, {4412, 54, 323},
+      "2:12 3:6 7:25 8:9 9:2",
+      {0, 2992, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 3, 3, 6, false,
+     {10202, 23142, {3149, 54, 176}, {0, 0, 0},
+      "",
+      {0, 1765, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 1, 9, 20, true,
+     {10202, 23142, {4502, 54, 323}, {4502, 54, 323},
+      "1:12 4:6 7:25 8:10 9:1",
+      {0, 3010, 0, 0, 0, 0, 0, 0, 0}}},
+    {kKiln, 1, 9, 20, false,
+     {10202, 23142, {3185, 54, 176}, {0, 0, 0},
+      "",
+      {0, 1783, 0, 0, 0, 0, 0, 0, 0}}},
+};
+
+TEST(CoreHits, TimingMatchesHitCompletionEvents) {
+  for (const HitTimingCase& c : kHitTimingCases) {
+    SCOPED_TRACE(std::string(to_string(c.mech)) + " l1 " +
+                 std::to_string(c.l1_latency) + " l2 " +
+                 std::to_string(c.l2_latency) + " llc " +
+                 std::to_string(c.llc_latency) +
+                 (c.persistent ? " persistent" : " volatile"));
+    const HitTiming got = run_hit_timing(c);
+    const HitTiming& want = c.expected;
+    EXPECT_EQ(got.end_cycle, want.end_cycle);
+    EXPECT_EQ(got.retired, want.retired);
+    EXPECT_EQ(got.load, want.load);
+    EXPECT_EQ(got.pload, want.pload);
+    EXPECT_EQ(got.pload_hist, want.pload_hist);
+    for (std::size_t i = 0; i < std::size(kStallNames); ++i) {
+      EXPECT_EQ(got.stalls[i], want.stalls[i]) << kStallNames[i];
     }
   }
 }

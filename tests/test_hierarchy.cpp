@@ -28,18 +28,24 @@ class HierTest : public ::testing::Test {
     events_.drain_until(now_);
   }
 
-  /// Blocking load helper: returns the completion cycle.
+  /// Blocking load helper: returns the cycle the data reached the core
+  /// (a hit reports it; a miss fills by event).
   Cycle load_and_wait(Addr a, bool persistent) {
     Cycle done_at = 0;
     bool done = false;
-    EXPECT_TRUE(hier_->load(now_, 0, a, persistent, [&] {
+    const AccessResult r = hier_->load(now_, 0, a, persistent);
+    EXPECT_NE(r.kind, AccessKind::kRejected);
+    if (r.kind == AccessKind::kHit) {
       done = true;
-      done_at = now_;
-    }));
-    const Cycle start = now_;
+      done_at = r.ready;
+    } else {
+      hier_->wait_for_fill(0, a, [&] {
+        done = true;
+        done_at = now_;
+      });
+    }
     run(3000);
     EXPECT_TRUE(done) << "load to " << a << " never completed";
-    (void)start;
     return done_at;
   }
 
@@ -64,15 +70,47 @@ TEST_F(HierTest, ColdMissThenL1Hit) {
   EXPECT_GT(first, 100u);  // STT-RAM row miss dominates
   EXPECT_EQ(stats_.counter_value("llc.misses"), 1u);
   const Cycle start = now_;
+  const std::uint64_t pushes = events_.total_pushes();
   const Cycle second = load_and_wait(nvm_ + 8, true);  // same line
   EXPECT_EQ(second - start, cfg_.l1.latency_cycles);
   EXPECT_EQ(stats_.counter_value("l1.hits"), 1u);
+  EXPECT_EQ(events_.total_pushes(), pushes);  // a hit is not an event
+}
+
+TEST_F(HierTest, HitsReportEachLevelsReadyCycleWithoutEvents) {
+  load_and_wait(nvm_, true);  // resident in L1, L2 and the LLC
+  const Cycle l1 = cfg_.l1.latency_cycles;
+  const Cycle l2 = cfg_.l2.latency_cycles;
+  const Cycle llc = cfg_.llc.latency_cycles;
+  const std::uint64_t pushes = events_.total_pushes();
+
+  AccessResult r = hier_->load(now_, 0, nvm_, true);
+  EXPECT_EQ(r.kind, AccessKind::kHit);
+  EXPECT_EQ(r.ready, now_ + l1);
+
+  hier_->l1(0).invalidate(nvm_);
+  r = hier_->load(now_, 0, nvm_, true);
+  EXPECT_EQ(r.kind, AccessKind::kHit);
+  EXPECT_EQ(r.ready, now_ + l1 + l2);
+  EXPECT_EQ(stats_.counter_value("l2.hits"), 1u);
+
+  // An LLC hit during a Kiln commit block waits it out, at access time.
+  hier_->l1(0).invalidate(nvm_);
+  hier_->l2(0).invalidate(nvm_);
+  hier_->block_llc_until(now_ + 50);
+  r = hier_->load(now_, 0, nvm_, true);
+  EXPECT_EQ(r.kind, AccessKind::kHit);
+  EXPECT_EQ(r.ready, now_ + l1 + l2 + 50 + llc);
+  EXPECT_EQ(stats_.counter_value("llc.hits"), 1u);
+  EXPECT_EQ(events_.total_pushes(), pushes);
 }
 
 TEST_F(HierTest, MshrMergesSameLineLoads) {
   int done = 0;
-  ASSERT_TRUE(hier_->load(now_, 0, nvm_, true, [&] { ++done; }));
-  ASSERT_TRUE(hier_->load(now_, 0, nvm_ + 16, true, [&] { ++done; }));
+  ASSERT_EQ(hier_->load(now_, 0, nvm_, true).kind, AccessKind::kMiss);
+  hier_->wait_for_fill(0, nvm_, [&] { ++done; });
+  ASSERT_EQ(hier_->load(now_, 0, nvm_ + 16, true).kind, AccessKind::kMiss);
+  hier_->wait_for_fill(0, nvm_ + 16, [&] { ++done; });
   run(3000);
   EXPECT_EQ(done, 2);
   EXPECT_EQ(stats_.counter_value("nvm.reads"), 1u);  // one memory read
@@ -270,12 +308,15 @@ TEST_F(HierTest, NtWriteInvalidatesStaleCachedCopy) {
 TEST_F(HierTest, RejectsWhenMshrsExhausted) {
   // tiny config: 4 L1 MSHRs. Five distinct-line loads: the fifth bounces.
   for (unsigned i = 0; i < 4; ++i) {
-    ASSERT_TRUE(hier_->load(now_, 0, nvm_ + i * 4096, true, [] {}));
+    ASSERT_EQ(hier_->load(now_, 0, nvm_ + i * 4096, true).kind,
+              AccessKind::kMiss);
   }
-  EXPECT_FALSE(hier_->load(now_, 0, nvm_ + 5 * 4096, true, [] {}));
+  EXPECT_EQ(hier_->load(now_, 0, nvm_ + 5 * 4096, true).kind,
+            AccessKind::kRejected);
   EXPECT_GT(stats_.counter_value("hier.rejects"), 0u);
   run(3000);
-  EXPECT_TRUE(hier_->load(now_, 0, nvm_ + 5 * 4096, true, [] {}));
+  EXPECT_NE(hier_->load(now_, 0, nvm_ + 5 * 4096, true).kind,
+            AccessKind::kRejected);
   run(3000);
   EXPECT_TRUE(hier_->quiesced());
 }
@@ -292,7 +333,7 @@ TEST_F(HierTest, CleanLlcEvictionWritesNothing) {
 
 TEST_F(HierTest, QuiescedReflectsOutstandingWork) {
   EXPECT_TRUE(hier_->quiesced());
-  ASSERT_TRUE(hier_->load(now_, 0, nvm_, true, [] {}));
+  ASSERT_EQ(hier_->load(now_, 0, nvm_, true).kind, AccessKind::kMiss);
   EXPECT_FALSE(hier_->quiesced());
   run(3000);
   EXPECT_TRUE(hier_->quiesced());

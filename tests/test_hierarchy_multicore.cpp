@@ -30,8 +30,10 @@ class MultiCoreHierTest : public ::testing::Test {
   }
 
   void load_wait(CoreId core, Addr a) {
-    bool done = false;
-    ASSERT_TRUE(hier_->load(now_, core, a, true, [&] { done = true; }));
+    const AccessResult r = hier_->load(now_, core, a, true);
+    ASSERT_NE(r.kind, AccessKind::kRejected);
+    bool done = r.kind == AccessKind::kHit;
+    if (!done) hier_->wait_for_fill(core, a, [&] { done = true; });
     run(3000);
     ASSERT_TRUE(done);
   }
@@ -57,8 +59,10 @@ TEST_F(MultiCoreHierTest, SharedLineFillsBothPrivateHierarchies) {
 
 TEST_F(MultiCoreHierTest, SameLineMissesFromBothCoresMergeAtLlc) {
   int done = 0;
-  ASSERT_TRUE(hier_->load(now_, 0, nvm_, true, [&] { ++done; }));
-  ASSERT_TRUE(hier_->load(now_, 1, nvm_, true, [&] { ++done; }));
+  ASSERT_EQ(hier_->load(now_, 0, nvm_, true).kind, AccessKind::kMiss);
+  hier_->wait_for_fill(0, nvm_, [&] { ++done; });
+  ASSERT_EQ(hier_->load(now_, 1, nvm_, true).kind, AccessKind::kMiss);
+  hier_->wait_for_fill(1, nvm_, [&] { ++done; });
   run(3000);
   EXPECT_EQ(done, 2);
   EXPECT_EQ(stats_.counter_value("nvm.reads"), 1u);

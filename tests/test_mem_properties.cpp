@@ -2,14 +2,19 @@
 // streams and arbitrary geometry, every request completes exactly once,
 // same-line writes complete in order, and the durable image ends equal to
 // program order. A differential test pins the cached scheduler against a
-// plain full-scan FR-FCFS reference, cycle for cycle.
+// plain full-scan FR-FCFS reference, cycle for cycle, and another pins a
+// controller that sleeps between due cycles against one ticked every cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -509,6 +514,161 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCase{15, 1, 4, 2, 4, 16, 400, 40, 800, false}),
     [](const ::testing::TestParamInfo<DiffCase>& p) {
       return "seed" + std::to_string(p.param.seed);
+    });
+
+// ---------------------------------------------------------------------------
+// Controller sleep. MemorySystem ticks a controller only from the cycle
+// its next_event_cycle() reported after its last tick, or at once after a
+// request joins a queue (tick_when_due). Fed the same seeded stream, such a
+// controller must complete every request on the same cycle and in the same
+// order as one ticked every cycle, and end with the same statistics. So
+// must one in skip.verify mode, which ticks the slept cycles and aborts if
+// one of them does work.
+
+struct SleepCase {
+  std::uint64_t seed;
+  const char* name;  ///< "nvm" (STT-RAM timing) or "dram" (DDR3 timing)
+  unsigned read_q;
+  unsigned write_q;
+  unsigned line_space;  ///< Small => same-line conflicts and forwards.
+  Cycle tfaw;
+  Cycle twtr;
+  Cycle refresh_interval;
+};
+
+class SleepDiffTest : public ::testing::TestWithParam<SleepCase> {};
+
+TEST_P(SleepDiffTest, SleepingControllerMatchesEveryCycleTicks) {
+  const SleepCase sc = GetParam();
+  const bool dram = std::string(sc.name) == "dram";
+  MemCtrlConfig cfg;
+  cfg.ranks = 2;
+  cfg.banks_per_rank = 4;
+  cfg.read_queue = sc.read_q;
+  cfg.write_queue = sc.write_q;
+  cfg.tfaw = sc.tfaw;
+  cfg.twtr = sc.twtr;
+  cfg.refresh_interval = sc.refresh_interval;
+  cfg.refresh_cycles = sc.refresh_interval / 20;
+  cfg.timing = dram ? DeviceTiming::ddr3() : DeviceTiming::sttram();
+
+  /// One controller and what it writes to, with its completion log.
+  struct Side {
+    Side(const char* name, const MemCtrlConfig& c)
+        : mc(name, c, events, stats) {}
+    EventQueue events;
+    StatSet stats;
+    MemoryController mc;
+    std::vector<std::pair<Cycle, unsigned>> done;  ///< (cycle, request id)
+    unsigned next_id = 0;
+    bool woken = false;  ///< A request joined a queue since the last tick.
+  };
+  Side every(sc.name, cfg);
+  Side sleeping(sc.name, cfg);
+  Side verifying(sc.name, cfg);
+  Cycle now = 0;
+
+  // Every fourth completion asks for its line again from inside
+  // on_complete, where a forwarded read takes the slot just freed.
+  std::function<bool(Side&, Addr, MemOp)> submit = [&](Side& s, Addr line,
+                                                       MemOp op) {
+    MemRequest req;
+    req.op = op;
+    req.line_addr = line;
+    const unsigned id = s.next_id++;
+    req.on_complete = [&submit, &now, side = &s, id](const MemRequest& r) {
+      side->done.emplace_back(now, id);
+      if (id % 4 == 0) submit(*side, r.line_addr, MemOp::kRead);
+    };
+    const std::uint64_t forwards =
+        s.stats.counter_value(std::string(sc.name) + ".wq_forwards");
+    const bool accepted = s.mc.enqueue(std::move(req), now);
+    s.woken |= accepted && s.stats.counter_value(std::string(sc.name) +
+                                                 ".wq_forwards") == forwards;
+    return accepted;
+  };
+
+  enum Phase : unsigned { kWriteBurst, kReadHeavy, kIdle };
+  constexpr Cycle kTrafficEnd = 30000;
+  unsigned phase = kIdle;
+  Cycle phase_end = 0;
+  MemRequest waiting;  // line and op of the next request
+  bool have_waiting = false;  // it was rejected, or not sent yet
+  Rng rng(sc.seed);
+  Cycle wake = 0;  // when tick_when_due next ticks, mirrored
+  std::uint64_t slept = 0;
+
+  while (now < kTrafficEnd || have_waiting || !every.mc.idle() ||
+         !sleeping.mc.idle() || !verifying.mc.idle() ||
+         !every.events.empty() || !sleeping.events.empty() ||
+         !verifying.events.empty()) {
+    ASSERT_LT(now, kTrafficEnd + 1'000'000) << "controllers failed to drain";
+    every.events.drain_until(now);
+    sleeping.events.drain_until(now);
+    verifying.events.drain_until(now);
+    if (now < kTrafficEnd) {
+      if (now >= phase_end) {
+        phase = static_cast<unsigned>(rng.below(3));
+        phase_end = now + rng.range(100, 600);
+      }
+      const std::uint64_t rate = phase == kWriteBurst ? 3 : phase == kReadHeavy;
+      if (!have_waiting && rng.chance(rate, 4)) {
+        const bool w =
+            phase == kWriteBurst ? rng.chance(9, 10) : rng.chance(1, 5);
+        waiting.line_addr = rng.below(sc.line_space) * kLineBytes;
+        waiting.op = w ? MemOp::kWrite : MemOp::kRead;
+        have_waiting = true;
+      }
+    }
+    if (have_waiting) {
+      const bool a = submit(every, waiting.line_addr, waiting.op);
+      const bool b = submit(sleeping, waiting.line_addr, waiting.op);
+      const bool c = submit(verifying, waiting.line_addr, waiting.op);
+      ASSERT_EQ(a, b) << "cycle " << now;
+      ASSERT_EQ(a, c) << "cycle " << now;
+      have_waiting = !a;
+    }
+
+    every.mc.tick(now);
+    sleeping.mc.tick_when_due(now, /*verify=*/false);
+    verifying.mc.tick_when_due(now, /*verify=*/true);
+    if (sleeping.woken) wake = 0;
+    sleeping.woken = false;
+    if (now < wake) {
+      ++slept;
+    } else {
+      wake = sleeping.mc.next_event_cycle(now);
+    }
+    ++now;
+  }
+
+  EXPECT_EQ(every.done, sleeping.done);
+  EXPECT_EQ(every.done, verifying.done);
+  auto dump = [](const Side& s) {
+    std::ostringstream os;
+    s.stats.dump(os);
+    return os.str();
+  };
+  EXPECT_EQ(dump(every), dump(sleeping));
+  EXPECT_EQ(dump(every), dump(verifying));
+
+  // The controller did sleep, and every wake-up source fired.
+  const std::string n = sc.name;
+  EXPECT_GT(slept, 0u);
+  EXPECT_GT(every.stats.counter_value(n + ".refreshes"), 0u);
+  EXPECT_GT(every.stats.counter_value(n + ".drain_mode_entries"), 0u);
+  EXPECT_GT(every.stats.counter_value(n + ".wq_forwards"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, SleepDiffTest,
+    ::testing::Values(SleepCase{21, "nvm", 8, 16, 32, 150, 24, 1500},
+                      SleepCase{22, "dram", 4, 8, 8, 90, 12, 800},
+                      SleepCase{23, "nvm", 8, 64, 64, 120, 16, 3000},
+                      SleepCase{24, "dram", 2, 4, 16, 400, 40, 1000}),
+    [](const ::testing::TestParamInfo<SleepCase>& p) {
+      return std::string(p.param.name) + "_seed" +
+             std::to_string(p.param.seed);
     });
 
 }  // namespace

@@ -145,6 +145,28 @@ TEST_F(McTest, ReadForwardedFromWriteQueue) {
   EXPECT_EQ(stats_.counter_value("nvm.wq_forwards"), 1u);
 }
 
+TEST_F(McTest, CompletionCanEnqueueIntoItsFreedSlot) {
+  // A completion frees its request's slot before on_complete runs, so the
+  // read the callback gets forwarded from the write queue takes that slot;
+  // the request the callback was handed must stay intact.
+  std::vector<Addr> done;
+  ASSERT_TRUE(mc_.enqueue(read(0,
+                               [&](const MemRequest& r) {
+                                 ASSERT_TRUE(mc_.enqueue(write(4096), now_));
+                                 ASSERT_TRUE(mc_.enqueue(
+                                     read(4096,
+                                          [&](const MemRequest& f) {
+                                            done.push_back(f.line_addr);
+                                          }),
+                                     now_));
+                                 done.push_back(r.line_addr);
+                               }),
+                          now_));
+  run(100);
+  EXPECT_EQ(done, (std::vector<Addr>{0, 4096}));
+  EXPECT_EQ(stats_.counter_value("nvm.wq_forwards"), 1u);
+}
+
 TEST_F(McTest, PersistentWriteReportsSource) {
   MemRequest w = write(0);
   w.source = Source::kTxCache;
