@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -27,6 +28,10 @@ struct Line {
   std::uint64_t lru = 0;
   std::uint8_t rrpv = 3;       ///< SRRIP re-reference prediction value.
 };
+
+static_assert(AddressSpace::kMaxCores <=
+                  std::numeric_limits<decltype(Line::presence)>::digits,
+              "one LLC presence bit per core");
 
 /// Result of evicting a valid victim during allocation.
 struct Eviction {

@@ -13,6 +13,14 @@ namespace ntcsim {
 /// per-core regions for the SP log area and the NTC overflow (hardware
 /// copy-on-write) shadow area.
 struct AddressSpace {
+  /// Each reserved area (logs, shadows) holds one region per core, which
+  /// bounds the core count of a node.
+  static constexpr std::uint64_t kRegionBytes = 64ULL << 20;
+  static constexpr std::uint64_t kAreaBytes = 1ULL << 30;
+  static constexpr unsigned kMaxCores = 16;
+  static_assert(kMaxCores * kRegionBytes <= kAreaBytes,
+                "every core's log and shadow region fits its area");
+
   std::uint64_t dram_bytes = 8ULL << 30;  ///< 8 GB DRAM (Table 2).
   std::uint64_t nvm_bytes = 8ULL << 30;   ///< 8 GB STT-RAM NVM (Table 2).
 
@@ -22,18 +30,18 @@ struct AddressSpace {
 
   /// Per-core write-ahead-log region (used by the SP mechanism).
   Addr log_base(CoreId core) const {
-    return nvm_base() + nvm_bytes - (2ULL << 30) + core * (64ULL << 20);
+    return nvm_base() + nvm_bytes - 2 * kAreaBytes + core * kRegionBytes;
   }
-  std::uint64_t log_bytes_per_core() const { return 64ULL << 20; }
+  std::uint64_t log_bytes_per_core() const { return kRegionBytes; }
 
   /// Per-core NTC overflow shadow region (hardware copy-on-write, §4.1).
   Addr shadow_base(CoreId core) const {
-    return nvm_base() + nvm_bytes - (1ULL << 30) + core * (64ULL << 20);
+    return nvm_base() + nvm_bytes - kAreaBytes + core * kRegionBytes;
   }
 
   /// Usable persistent heap: NVM minus the reserved log/shadow regions.
   Addr heap_base() const { return nvm_base(); }
-  std::uint64_t heap_bytes() const { return nvm_bytes - (2ULL << 30); }
+  std::uint64_t heap_bytes() const { return nvm_bytes - 2 * kAreaBytes; }
 };
 
 /// Victim-selection policy for a set-associative cache level.
@@ -223,7 +231,7 @@ struct TopoConfig {
 /// needs. The single-socket configuration of the paper's Table 2; a
 /// sim::Cluster instantiates one sim::Node per topo.nodes from this.
 struct NodeConfig {
-  unsigned cores = 4;
+  unsigned cores = 4;  ///< 1 to AddressSpace::kMaxCores.
   double ghz = 2.0;
   AddressSpace address_space;
   CoreConfig core;

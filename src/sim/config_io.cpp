@@ -109,7 +109,8 @@ const std::map<std::string, Key>& registry() {
     // divides by zero, trips an invariant or never drains. Fractions stay
     // in [0, 1]; the other double knobs are capped so the cycle counts
     // derived from them stay in range.
-    k["cores"] = number(field(&SystemConfig::cores), {1});
+    k["cores"] =
+        number(field(&SystemConfig::cores), {1, AddressSpace::kMaxCores});
     k["ghz"] = number(field(&SystemConfig::ghz), {0.0, 1000.0, true});
     k["mechanism"] = Key{
         [](SystemConfig& c, const std::string& v) {

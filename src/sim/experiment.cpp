@@ -22,6 +22,39 @@ namespace {
 constexpr Bounds<double> kScaleBounds{0.0, 1000.0, true};
 constexpr Bounds<unsigned> kJobsBounds{};
 
+/// One normalized figure of the paper's §5. `absolute`, if set, heads a
+/// second table of the raw values of the paper's four mechanisms.
+struct FigureSpec {
+  const char* title;
+  double (*metric)(const Metrics&);
+  const char* caption;
+  const char* absolute = nullptr;
+};
+
+constexpr FigureSpec kPaperFigures[] = {
+    {"Figure 6: Performance improvements (IPC)",
+     [](const Metrics& m) { return m.ipc; },
+     "IPC normalized to Optimal (no persistence support); higher is better.\n"
+     "Paper gmean targets: SP ~0.48, TC ~0.985, Kiln ~0.88."},
+    {"Figure 7: Performance improvements (Throughput)",
+     [](const Metrics& m) { return m.tx_per_kilocycle; },
+     "Transactions/cycle normalized to Optimal; higher is better.\n"
+     "Paper gmean targets: SP ~0.31, TC ~0.985, Kiln ~0.88."},
+    {"Figure 8: LLC miss rate",
+     [](const Metrics& m) { return m.llc_miss_rate; },
+     "LLC miss rate normalized to Optimal; lower is better.\n"
+     "Paper: Kiln above Optimal; TC at or below Optimal."},
+    {"Figure 9: Write traffic to NVM",
+     [](const Metrics& m) { return static_cast<double>(m.nvm_writes); },
+     "NVM line writes normalized to Optimal; lower is better.\n"
+     "Paper: SP ~2x Optimal; SP > TC > Kiln >= Optimal.",
+     "Absolute NVM writes (lines) per workload:"},
+    {"Figure 10: Persistent load latency",
+     [](const Metrics& m) { return m.pload_latency; },
+     "Mean persistent-load latency normalized to Optimal; lower is better.\n"
+     "Paper: Kiln worst by a wide margin; TC close to Optimal."},
+};
+
 }  // namespace
 
 std::vector<Mechanism> matrix_mechanisms() {
@@ -211,6 +244,29 @@ void print_figure(std::ostream& os, const std::string& title,
   table.add_row("gmean", gmeans);
   table.print(os);
   os << '\n';
+}
+
+void print_paper_figures(std::ostream& os, const Matrix& matrix) {
+  constexpr Mechanism kPaperMechanisms[] = {
+      Mechanism::kSp, Mechanism::kTc, Mechanism::kKiln, Mechanism::kOptimal};
+  for (const FigureSpec& fig : kPaperFigures) {
+    print_figure(os, fig.title, matrix, fig.metric, fig.caption);
+    if (fig.absolute == nullptr) continue;
+    os << fig.absolute << '\n';
+    std::vector<std::string> header{"workload"};
+    for (Mechanism mech : kPaperMechanisms) {
+      header.emplace_back(mechanism_label(mech));
+    }
+    Table table(std::move(header));
+    for (const auto& [wl, row] : matrix) {
+      std::vector<double> cells;
+      for (Mechanism mech : kPaperMechanisms) {
+        cells.push_back(fig.metric(row.at(mech)));
+      }
+      table.add_row(std::string(to_string(wl)), cells, 0);
+    }
+    table.print(os);
+  }
 }
 
 void apply_env_knobs(ExperimentOptions& opts) {

@@ -41,8 +41,10 @@ struct ExperimentOptions {
   /// keep whole-matrix runs cheap.
   double setup_scale = 1.0;
   std::uint64_t seed = 1;
-  /// Skip functional recovery tracking for pure performance sweeps (~15 %
-  /// faster); the figure benches leave it on.
+  /// Track the functional recovery images in every cell. run_cell turns
+  /// them on regardless for each mechanism whose recovery path reads them
+  /// (all but Optimal), so this changes only Optimal cells. Neither ntcsim
+  /// nor a bench sets it; perfbench's copy of run_cell reads it.
   bool track_recovery = false;
   /// Worker threads for run_matrix / run_sweep. 0 = auto (NTCSIM_JOBS or
   /// hardware_concurrency, see sweep.hpp); 1 = the serial path.
@@ -94,10 +96,15 @@ Matrix run_matrix(const SystemConfig& base, const ExperimentOptions& opts = {});
 
 /// Normalized-to-Optimal figure printer: one row per workload plus a
 /// geometric-mean row, one column per mechanism. `metric` extracts the
-/// plotted quantity; `higher_is_better` only affects the caption.
+/// plotted quantity.
 void print_figure(std::ostream& os, const std::string& title,
                   const Matrix& matrix, double (*metric)(const Metrics&),
                   const std::string& caption);
+
+/// Figures 6-10 of the paper's §5, all from one matrix and in figure
+/// order: IPC, throughput, LLC miss rate, NVM write traffic (followed by
+/// its absolute write counts) and persistent-load latency.
+void print_paper_figures(std::ostream& os, const Matrix& matrix);
 
 /// The shared environment knobs (a malformed value exits 1): NTCSIM_SCALE
 /// replaces opts.scale, NTCSIM_JOBS fills opts.jobs unless a flag set it,

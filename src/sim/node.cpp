@@ -18,6 +18,8 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
       opts_(opts),
       domain_(persist::DomainRegistry::instance().create(cfg.mechanism)),
       policy_(domain_->policy()) {
+  NTC_ASSERT(cfg_.cores >= 1 && cfg_.cores <= AddressSpace::kMaxCores,
+             "cores outside 1..AddressSpace::kMaxCores");
   mem_ = std::make_unique<mem::MemorySystem>(cfg_, events, stats_);
   mem_->set_adr_domain(policy_.adr_domain);
   if (cfg_.track_recovery_state) {

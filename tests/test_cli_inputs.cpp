@@ -4,10 +4,11 @@
 // an overflow. Each case must exit 1 with exactly one line on stderr — or,
 // for a zero the input accepts, run a tiny cell and exit 0. Cache and
 // memory geometries that pass each key's bounds but not the limits across
-// keys exit 1 the same way, and so do crash-sweep op and setup counts that
-// overflow once scaled. Nothing may die on a signal or run into the
-// timeout. Also checks that --profile writes its report from a single
-// ntcsim cell and from a bench binary, and that --stats dumps every node.
+// keys exit 1 the same way, and so do more cores than the address space
+// has regions for and crash-sweep op and setup counts that overflow once
+// scaled. Nothing may die on a signal or run into the timeout. Also checks
+// that --profile writes its report from a single ntcsim cell and from a
+// bench binary, and that --stats dumps every node.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -275,6 +276,23 @@ TEST(BadInput, QueueSizesThatPreallocate) {
     EXPECT_EQ(o.exit_code, 0) << key << "=65536\n" << o.err;
   }
   cases.expect_clean();
+}
+
+TEST(BadInput, CoresBeyondTheReservedRegions) {
+  // Every core owns a log and a shadow region in NVM and a bit of the LLC
+  // presence mask; 16 cores fill them, and that bound itself runs.
+  Cases cases;
+  for (const char* value : {"17", "33", "100000"}) {
+    const std::string set = std::string("cores=") + value;
+    const Outcome o =
+        run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--set", set})));
+    cases.check("--set " + set, o, false);
+    EXPECT_NE(o.err.find("cores"), std::string::npos) << set << "\n" << o.err;
+  }
+  cases.expect_clean();
+  const Outcome o =
+      run(with({NTC_NTCSIM_BIN}, with(kTinyCell, {"--set", "cores=16"})));
+  EXPECT_EQ(o.exit_code, 0) << "cores=16\n" << o.err;
 }
 
 TEST(BadInput, CrashSweepCountsThatOverflow) {

@@ -45,6 +45,10 @@ TEST(Config, ReservedRegionsDoNotOverlapHeap) {
   // Per-core regions are disjoint.
   EXPECT_GE(s.log_base(1), s.log_base(0) + s.log_bytes_per_core());
   EXPECT_NE(s.shadow_base(0), s.log_base(0));
+  // The last core a node may have keeps both regions inside NVM.
+  const CoreId last = AddressSpace::kMaxCores - 1;
+  EXPECT_LE(s.log_base(last) + AddressSpace::kRegionBytes, s.shadow_base(0));
+  EXPECT_LE(s.shadow_base(last) + AddressSpace::kRegionBytes, s.nvm_end());
 }
 
 TEST(Config, CacheGeometry) {

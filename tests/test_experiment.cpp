@@ -56,6 +56,43 @@ TEST(PrintFigure, ZeroBaselineDoesNotDivide) {
   EXPECT_NE(oss.str().find("0.000"), std::string::npos);
 }
 
+TEST(PrintPaperFigures, PrintsFigures6To10InOrderFromOneMatrix) {
+  Matrix m = tiny_matrix();
+  for (auto& [wl, row] : m) {
+    row[Mechanism::kSp].nvm_writes = 2000;
+    row[Mechanism::kTc].nvm_writes = 1100;
+    row[Mechanism::kKiln].nvm_writes = 1050;
+    row[Mechanism::kOptimal].nvm_writes = 1000;
+  }
+  std::ostringstream oss;
+  print_paper_figures(oss, m);
+  const std::string out = oss.str();
+  std::size_t at = 0;
+  for (const char* title :
+       {"Figure 6: Performance improvements (IPC)\n",
+        "Figure 7: Performance improvements (Throughput)\n",
+        "Figure 8: LLC miss rate\n", "Figure 9: Write traffic to NVM\n",
+        "Absolute NVM writes (lines) per workload:\n",
+        "Figure 10: Persistent load latency\n"}) {
+    at = out.find(title, at);
+    ASSERT_NE(at, std::string::npos) << "missing or out of order: " << title;
+  }
+  EXPECT_EQ(out.find("Figure 6: "), 0u);
+  // Fig. 9's absolute table: the raw counts of the paper's four
+  // mechanisms, one row per workload, right before Fig. 10.
+  const std::size_t abs = out.find("Absolute NVM writes");
+  const std::string table = out.substr(abs, out.find("Figure 10: ") - abs);
+  EXPECT_NE(table.find("\nworkload  SP    TC    Kiln  Optimal\n"),
+            std::string::npos) << table;
+  EXPECT_NE(table.find("\nsps       2000  1100  1050  1000   \n"),
+            std::string::npos) << table;
+  EXPECT_NE(table.find("\nrbtree    2000  1100  1050  1000   \n"),
+            std::string::npos) << table;
+  // ...and Fig. 9 itself is those counts normalized to Optimal.
+  const std::size_t fig9 = out.find("Figure 9: ");
+  EXPECT_NE(out.substr(fig9, abs - fig9).find("2.000"), std::string::npos);
+}
+
 TEST(ParseBenchArgs, ScaleFromArgvAndEnv) {
   char prog[] = "bench";
   char scale[] = "0.5";

@@ -175,6 +175,14 @@ TEST(SystemMultiCore, SharedLlcSeesAllCores) {
   EXPECT_GT(sys.stats().counter_value("llc.misses"), 0u);
 }
 
+TEST(SystemMultiCore, MoreCoresThanTheReservedRegionsAbort) {
+  // A config built in code skips the `cores` key's bound; the node refuses
+  // it rather than place core 16's shadow region past the end of NVM.
+  SystemConfig cfg = SystemConfig::tiny();
+  cfg.cores = AddressSpace::kMaxCores + 1;
+  EXPECT_DEATH({ System sys(cfg); }, "cores outside");
+}
+
 TEST(ExperimentHarness, RunCellProducesSaneMetrics) {
   SystemConfig cfg = SystemConfig::experiment();
   cfg.cores = 2;

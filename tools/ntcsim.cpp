@@ -321,7 +321,7 @@ int run_crash_sweep_mode(const Cli& cli) {
 
 // --matrix: the full mechanism x workload evaluation of the paper's §5 in
 // one invocation, cells fanned out over worker threads. CSV mode emits one
-// row per cell; otherwise the Fig. 6/7-style normalized tables print.
+// row per cell; otherwise Figures 6-10 print.
 int run_matrix_mode(const Cli& cli) {
   sim::ExperimentOptions opts = cli.opts;
   opts.seed = cli.params.seed;
@@ -339,14 +339,7 @@ int run_matrix_mode(const Cli& cli) {
   if (cli.csv) {
     sim::write_matrix_csv(std::cout, matrix);
   } else {
-    sim::print_figure(
-        std::cout, "Matrix: IPC", matrix,
-        [](const sim::Metrics& m) { return m.ipc; },
-        "IPC normalized to Optimal; higher is better.");
-    sim::print_figure(
-        std::cout, "Matrix: throughput", matrix,
-        [](const sim::Metrics& m) { return m.tx_per_kilocycle; },
-        "Transactions/kcycle normalized to Optimal; higher is better.");
+    sim::print_paper_figures(std::cout, matrix);
   }
   if (cli.cfg.check != CheckMode::kOff) {
     std::fprintf(stderr, "persistence-order checker: %llu violation(s)\n",
