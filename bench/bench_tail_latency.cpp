@@ -18,7 +18,6 @@
 
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
-#include "workload/workloads.hpp"
 
 using namespace ntcsim;
 
@@ -32,7 +31,6 @@ int main(int argc, char** argv) {
   const WorkloadKind wl = WorkloadKind::kHashtable;
   const std::vector<Mechanism> mechs = sim::matrix_mechanisms();
 
-  const std::size_t base_ops = workload::default_params(wl).ops;
   std::vector<sim::JobSpec> specs;
   for (Mechanism mech : mechs) {
     for (double rate : kRates) {
@@ -42,9 +40,6 @@ int main(int argc, char** argv) {
       spec.cfg = SystemConfig::experiment();
       spec.cfg.service.enabled = true;
       spec.cfg.service.rate = rate;
-      spec.cfg.service.requests = static_cast<std::uint64_t>(
-          static_cast<double>(base_ops) * opts.scale);
-      if (spec.cfg.service.requests == 0) spec.cfg.service.requests = 1;
       spec.opts = opts;
       specs.push_back(spec);
     }

@@ -58,12 +58,4 @@ CrashPlan plan_cell(const SystemConfig& cfg, const sim::SystemOptions& opts,
   return plan;
 }
 
-CrashPlan plan_cell(const SystemConfig& cfg, const sim::SystemOptions& opts,
-                    const std::vector<core::Trace>& traces,
-                    std::uint64_t max_points) {
-  return plan_cell(cfg, opts,
-                   std::vector<std::vector<core::Trace>>{traces},
-                   /*crash_node=*/0, max_points);
-}
-
 }  // namespace ntcsim::faultsim

@@ -58,16 +58,11 @@ std::vector<Cycle> select_crash_points(const std::vector<Cycle>& hazards,
 
 /// Run the cell once with an EventRecorder tapped in and build the plan.
 /// `cfg` must describe the cell's mechanism; the planning System is built
-/// with the checker forced off (the taps are ours). `traces` are the raw
-/// per-core workload traces (pre-SP-transform; load_trace applies it).
-CrashPlan plan_cell(const SystemConfig& cfg, const sim::SystemOptions& opts,
-                    const std::vector<core::Trace>& traces,
-                    std::uint64_t max_points);
-
-/// Cluster variant: `node_traces[node][core]` loads the whole cluster, but
-/// only `crash_node`'s event stream is tapped — the plan places crash
-/// points where *that* node is vulnerable while the other nodes keep
-/// serving (partial-failure injection).
+/// with the checker forced off (the taps are ours). `node_traces[node][core]`
+/// are the raw workload traces (pre-SP-transform; load_trace applies it)
+/// and load the whole cluster, but only `crash_node`'s event stream is
+/// tapped — the plan places crash points where *that* node is vulnerable
+/// while the other nodes keep serving (partial-failure injection).
 CrashPlan plan_cell(const SystemConfig& cfg, const sim::SystemOptions& opts,
                     const std::vector<std::vector<core::Trace>>& node_traces,
                     NodeId crash_node, std::uint64_t max_points);

@@ -95,11 +95,6 @@ bool MemorySystem::write_queue_full(Addr line_addr) const {
                            : dram_.write_queue_full();
 }
 
-bool MemorySystem::read_queue_full(Addr line_addr) const {
-  return is_nvm(line_addr) ? route_nvm_(line_addr).read_queue_full()
-                           : dram_.read_queue_full();
-}
-
 void MemorySystem::tick(Cycle now) {
   if (!skip_.enabled) {
     dram_.tick(now);

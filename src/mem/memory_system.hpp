@@ -37,7 +37,6 @@ class MemorySystem {
   bool enqueue(MemRequest req, Cycle now);
 
   bool write_queue_full(Addr line_addr) const;
-  bool read_queue_full(Addr line_addr) const;
   bool idle() const {
     if (!dram_.idle()) return false;
     for (const auto& ch : nvm_channels_) {

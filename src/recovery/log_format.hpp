@@ -33,7 +33,6 @@ class LogCursor {
 
   /// Address of the next 16-byte record; advances the cursor.
   Addr next_record();
-  Addr base() const { return base_; }
   std::uint64_t records_used() const { return used_; }
 
  private:

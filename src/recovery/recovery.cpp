@@ -37,31 +37,6 @@ WordImage recover_sp(const DurableState& durable, const AddressSpace& space,
   return img;
 }
 
-RecoveryCost tc_recovery_cost(const std::vector<NtcSnapshot>& ntcs) {
-  RecoveryCost c;
-  for (const NtcSnapshot& ntc : ntcs) {
-    for (const NtcEntrySnapshot& e : ntc) {
-      ++c.records_scanned;
-      if (e.committed) c.words_applied += e.words.size();
-    }
-  }
-  return c;
-}
-
-RecoveryCost sp_recovery_cost(const DurableState& durable,
-                              const AddressSpace& space, unsigned cores) {
-  RecoveryCost c;
-  for (CoreId core = 0; core < cores; ++core) {
-    const auto txs = parse_log(durable.image(), space.log_base(core),
-                               space.log_bytes_per_core());
-    for (const LoggedTx& tx : txs) {
-      c.records_scanned += tx.writes.size() + 1;  // + commit marker
-      c.words_applied += tx.writes.size();
-    }
-  }
-  return c;
-}
-
 AtomicityReport check_atomicity(const WordImage& recovered,
                                 const Journal& journal) {
   AtomicityReport report;

@@ -51,18 +51,6 @@ struct AtomicityReport {
   std::string violation;  ///< Human-readable description of the first failure.
 };
 
-/// How much work recovery had to do — the paper's recovery-time story:
-/// TC replays at most the (kilobyte-sized) transaction cache; SP scans its
-/// whole undrained log tail.
-struct RecoveryCost {
-  std::size_t records_scanned = 0;  ///< NTC entries / log records visited.
-  std::size_t words_applied = 0;    ///< Words written into the image.
-};
-
-RecoveryCost tc_recovery_cost(const std::vector<NtcSnapshot>& ntcs);
-RecoveryCost sp_recovery_cost(const DurableState& durable,
-                              const AddressSpace& space, unsigned cores);
-
 /// Verifies the persistence contract: for every core, the recovered state
 /// restricted to that core's written words must equal the replay of some
 /// program-order *prefix* of its transactions (all-or-nothing per

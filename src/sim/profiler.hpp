@@ -136,8 +136,8 @@ class ProfScope {
 
 /// RAII profiling session: the outermost instance resets + enables the
 /// profiler, and on destruction disables it and writes the JSON report.
-/// Nested sessions (e.g. run_matrix -> run_sweep both asked to profile)
-/// are inert, so exactly one report is written per top-level run.
+/// A session opened while another is active is inert, so exactly one
+/// report is written per top-level run.
 class ProfileSession {
  public:
   explicit ProfileSession(std::string out_path);

@@ -61,7 +61,7 @@ void Cluster::advance_clock_(Cycle limit) {
   if (target == kNeverCycle) {
     // No component will ever act again, the event queue is empty, and the
     // cluster is not finished (the caller checked): a deadlock. Jump straight
-    // to the cap for a fast, bit-identical kCycleCap.
+    // to the cap, so a deadlocked run() times out fast and bit-identically.
     target = limit;
   }
   target = std::min(target, limit);
@@ -117,23 +117,13 @@ bool Cluster::finished() const {
   return events_.empty();
 }
 
-// Both loops test finished() once per executed cycle, right after the
-// step, and advance the clock only when it is false: a jump changes no
-// component state, so the answer still holds at the landing cycle.
-RunStatus Cluster::run(Cycle max_cycles) {
-  const Cycle limit = now_ + max_cycles;
-  if (finished()) return RunStatus::kFinished;
-  for (;;) {
-    if (now_ >= limit) {
-      timed_out_ = true;
-      return RunStatus::kCycleCap;
-    }
-    step_();
-    if (finished()) return RunStatus::kFinished;
-    advance_clock_(limit);
-  }
+void Cluster::run(Cycle max_cycles) {
+  if (!run_for(max_cycles)) timed_out_ = true;
 }
 
+// The loop tests finished() once per executed cycle, right after the step,
+// and advances the clock only when it is false: a jump changes no
+// component state, so the answer still holds at the landing cycle.
 bool Cluster::run_for(Cycle cycles) {
   const Cycle until = now_ + cycles;
   bool done = finished();

@@ -18,23 +18,6 @@
 
 namespace ntcsim::sim {
 
-/// How a run() ended. kCycleCap means the simulation was cut off before
-/// it drained — metrics describe a truncated run and callers must treat
-/// the result as a failure, not a slow success.
-enum class RunStatus : std::uint8_t {
-  kFinished,  ///< Every node drained; metrics are complete.
-  kCycleCap,  ///< Hit max_cycles with work outstanding (deadlock or
-              ///< under-budgeted run).
-};
-
-constexpr const char* to_string(RunStatus s) {
-  switch (s) {
-    case RunStatus::kFinished: return "finished";
-    case RunStatus::kCycleCap: return "cycle-cap";
-  }
-  return "?";
-}
-
 class Cluster {
  public:
   explicit Cluster(const SystemConfig& cfg, SystemOptions opts = {});
@@ -52,10 +35,11 @@ class Cluster {
   void load_trace(CoreId core, core::Trace trace);
 
   /// Run until every node drained, or until `max_cycles` more cycles have
-  /// elapsed — whichever comes first. A kCycleCap return (also latched in
-  /// timed_out()) means the run was truncated; drivers fail loudly on it.
-  RunStatus run(Cycle max_cycles = 2'000'000'000ULL);
-  /// Advance exactly `cycles` (crash-injection runs). Returns finished().
+  /// elapsed — whichever comes first. A run cut off by the cap latches
+  /// timed_out(): its metrics describe a truncated run (a deadlock or an
+  /// under-budgeted run), and drivers fail loudly on it.
+  void run(Cycle max_cycles = 2'000'000'000ULL);
+  /// Advance at most `cycles` (crash-injection runs). Returns finished().
   bool run_for(Cycle cycles);
   bool finished() const;
   /// A previous run() hit its cycle cap before the cluster drained.
@@ -116,8 +100,8 @@ class Cluster {
   /// Quiescence-aware clock advance: after an executed step, min-reduce
   /// every node's next_event_cycle() with the earliest event-queue
   /// delivery and jump now_ there (clamped to `limit`, exclusive of
-  /// nothing — limit itself is a legal landing cycle for run()'s cap
-  /// check). No-op when skipping is off or no cycle can be skipped.
+  /// nothing — limit itself is a legal landing cycle for run_for()'s
+  /// bound check). No-op when skipping is off or no cycle can be skipped.
   /// Callers invoke it only on an unfinished cluster: a drained cluster
   /// must not advance, since a jump (to the next periodic refresh, say)
   /// would inflate now_ — and the cycles metric — past where the

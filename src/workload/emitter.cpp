@@ -51,11 +51,4 @@ core::Trace TraceEmitter::take_setup() { return std::move(setup_); }
 
 core::Trace TraceEmitter::take_measured() { return std::move(measured_); }
 
-core::Trace TraceEmitter::take_combined() {
-  core::Trace out = std::move(setup_);
-  out.append(measured_);
-  measured_ = core::Trace{};
-  return out;
-}
-
 }  // namespace ntcsim::workload

@@ -36,8 +36,6 @@ class TraceEmitter {
   /// is in setup and measured is empty.
   core::Trace take_setup();
   core::Trace take_measured();
-  /// Both phases concatenated (for single-trace consumers).
-  core::Trace take_combined();
   const core::Trace& trace() const { return current_(); }
 
  private:

@@ -138,29 +138,5 @@ TEST(RecoverSp, ReplaysLoggedTxs) {
   EXPECT_EQ(img.load(4096), 55u);
 }
 
-TEST(RecoveryCost, TcCountsSnapshotEntries) {
-  NtcSnapshot snap;
-  snap.push_back({1, true, {{0, 1}, {8, 2}}});
-  snap.push_back({2, false, {{16, 3}}});
-  const RecoveryCost c = tc_recovery_cost({snap});
-  EXPECT_EQ(c.records_scanned, 2u);
-  EXPECT_EQ(c.words_applied, 2u);  // uncommitted entry not applied
-}
-
-TEST(RecoveryCost, SpCountsLogRecords) {
-  StatSet stats;
-  DurableState d(stats);
-  const AddressSpace space;
-  mem::MemRequest log_write;
-  log_write.payload = {{space.log_base(0), 4096},
-                       {space.log_base(0) + 8, 55},
-                       {space.log_base(0) + 16, make_commit_marker(1)},
-                       {space.log_base(0) + 24, 1}};
-  d.on_nvm_write(log_write);
-  const RecoveryCost c = sp_recovery_cost(d, space, 1);
-  EXPECT_EQ(c.records_scanned, 2u);  // one data record + the marker
-  EXPECT_EQ(c.words_applied, 1u);
-}
-
 }  // namespace
 }  // namespace ntcsim::recovery

@@ -5,10 +5,11 @@
 // for a zero the input accepts, run a tiny cell and exit 0. Cache and
 // memory geometries that pass each key's bounds but not the limits across
 // keys exit 1 the same way, and so do more cores than the address space
-// has regions for and crash-sweep op and setup counts that overflow once
-// scaled. Nothing may die on a signal or run into the timeout. Also checks
-// that --profile writes its report from a single ntcsim cell and from a
-// bench binary, and that --stats dumps every node.
+// has regions for, crash-sweep op and setup counts that overflow once
+// scaled, and --matrix with a flag it does not read. Nothing may die on a
+// signal or run into the timeout. Also checks that --profile writes its
+// report from a single ntcsim cell and from a bench binary, and that
+// --stats dumps every node.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -310,6 +311,26 @@ TEST(BadInput, CrashSweepCountsThatOverflow) {
            {"--set", "crash.setup=2635249153387078803"}}) {
     cases.check(extra.front() + " " + extra.back(), run(with(sweep, extra)),
                 false);
+  }
+  cases.expect_clean();
+}
+
+TEST(BadInput, MatrixWithAFlagItDoesNotRead) {
+  // --matrix runs every cell at its default size, so a flag that picks,
+  // sizes or inspects one cell, and a second run mode, exit 1 with one line
+  // naming the flag before any cell starts (a tiny matrix that started
+  // would run into the timeout).
+  Cases cases;
+  for (const char* flag :
+       {"--workload=btree", "--mechanism=sp", "--ops=5", "--setup=200",
+        "--lookup=10", "--crash-at=5000", "--stats", "--crash-sweep",
+        "--crash-points=8"}) {
+    const Outcome o =
+        run({NTC_NTCSIM_BIN, "--matrix", "--preset=tiny", flag});
+    cases.check(std::string("--matrix ") + flag, o, false);
+    const std::string given(flag);
+    const std::string name = given.substr(0, given.find('='));
+    EXPECT_NE(o.err.find(name), std::string::npos) << flag << "\n" << o.err;
   }
   cases.expect_clean();
 }

@@ -77,10 +77,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          WorkloadKind::kGraph,
                                          WorkloadKind::kQueue,
                                          WorkloadKind::kSkiplist)),
-    [](const auto& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
+    [](const auto& p) {
+      std::string name = std::string(to_string(std::get<0>(p.param))) +
                          "_" +
-                         std::string(to_string(std::get<1>(info.param)));
+                         std::string(to_string(std::get<1>(p.param)));
       name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
       return name;
     });
@@ -132,8 +132,8 @@ TEST_P(TcCapacityCrash, ConsistencyHoldsAtEveryCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(NtcSizes, TcCapacityCrash,
                          ::testing::Values(256, 512, 1024, 4096),
-                         [](const auto& info) {
-                           return std::to_string(info.param) + "B";
+                         [](const auto& p) {
+                           return std::to_string(p.param) + "B";
                          });
 
 // The drained-final-state checks keep driving System directly: they assert

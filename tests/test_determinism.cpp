@@ -1,12 +1,8 @@
 // Bit-exact determinism: the same configuration and seed must produce the
 // same cycle counts, traffic, and durable state on every run — the
-// property every regression comparison and the trace-replay workflow rely
-// on.
+// property every regression comparison relies on.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "core/trace_io.hpp"
 #include "sim/system.hpp"
 #include "workload/workloads.hpp"
 
@@ -46,43 +42,13 @@ INSTANTIATE_TEST_SUITE_P(Mechanisms, Determinism,
                          ::testing::Values(Mechanism::kOptimal, Mechanism::kTc,
                                            Mechanism::kSp, Mechanism::kKiln,
                                            Mechanism::kSpAdr),
-                         [](const auto& info) {
-                           std::string n(to_string(info.param));
+                         [](const auto& p) {
+                           std::string n(to_string(p.param));
                            for (char& c : n) {
                              if (c == '-') c = '_';
                            }
                            return n;
                          });
-
-TEST(Determinism, ReplayedTraceMatchesLiveTrace) {
-  SystemConfig cfg = SystemConfig::tiny();
-  cfg.mechanism = Mechanism::kTc;
-  workload::WorkloadParams p = workload::default_params(WorkloadKind::kSps);
-  p.setup_elems = 500;
-  p.ops = 120;
-  p.compute_per_op = 16;
-
-  workload::SimHeap heap(cfg.address_space, 1);
-  core::Trace live = workload::generate(p, 0, heap, nullptr);
-
-  // Serialize and reload through the binary format.
-  std::stringstream ss;
-  ASSERT_TRUE(core::write_trace(ss, live).ok);
-  core::Trace replayed;
-  ASSERT_TRUE(core::read_trace(ss, replayed).ok);
-
-  System a(cfg);
-  a.load_trace(0, std::move(live));
-  a.run();
-  System b(cfg);
-  b.load_trace(0, std::move(replayed));
-  b.run();
-
-  EXPECT_EQ(a.metrics().cycles, b.metrics().cycles);
-  EXPECT_EQ(a.metrics().nvm_writes, b.metrics().nvm_writes);
-  EXPECT_EQ(a.stats().counter_value("llc.misses"),
-            b.stats().counter_value("llc.misses"));
-}
 
 }  // namespace
 }  // namespace ntcsim::sim

@@ -24,7 +24,7 @@ TEST_F(EmitterTest, TxBracketsAndIds) {
   EXPECT_EQ(em_.current_tx(), 2u);
   em_.end_tx();
 
-  const core::Trace t = em_.take_combined();
+  const core::Trace t = em_.take_setup();
   ASSERT_EQ(t.size(), 5u);
   ASSERT_EQ(t.ops().size(), 5u);
   EXPECT_EQ(t.ops()[0].kind, OpKind::kTxBegin);
@@ -49,7 +49,7 @@ TEST_F(EmitterTest, VolatileStoresNotJournaled) {
   em_.store(64, 1);  // DRAM address, legal outside/inside tx
   em_.end_tx();
   EXPECT_TRUE(journal_.per_core(0)[0].writes.empty());
-  const core::Trace t = em_.take_combined();
+  const core::Trace t = em_.take_setup();
   EXPECT_FALSE(t.ops()[1].persistent);
 }
 
@@ -60,7 +60,7 @@ TEST_F(EmitterTest, PersistentStoreOutsideTxAborts) {
 TEST_F(EmitterTest, LoadsCarryPersistenceFlag) {
   em_.load(p_);
   em_.load(128);
-  const core::Trace t = em_.take_combined();
+  const core::Trace t = em_.take_setup();
   EXPECT_TRUE(t.ops()[0].persistent);
   EXPECT_FALSE(t.ops()[1].persistent);
 }

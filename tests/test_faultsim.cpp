@@ -63,11 +63,11 @@ TEST(CrashPlanner, PlansAreReproducible) {
   workload::WorkloadParams p = workload::default_params(WorkloadKind::kSps);
   p.setup_elems = 800;
   p.ops = 60;
-  const std::vector<core::Trace> traces{
-      workload::generate(p, 0, heap, &journal)};
+  const std::vector<std::vector<core::Trace>> traces{
+      {workload::generate(p, 0, heap, &journal)}};
 
-  const CrashPlan a = plan_cell(cfg, {}, traces, 0);
-  const CrashPlan b = plan_cell(cfg, {}, traces, 0);
+  const CrashPlan a = plan_cell(cfg, {}, traces, /*crash_node=*/0, 0);
+  const CrashPlan b = plan_cell(cfg, {}, traces, /*crash_node=*/0, 0);
   EXPECT_GT(a.hazard_events, 0u);
   EXPECT_EQ(a.points, b.points);
   EXPECT_EQ(a.end_cycle, b.end_cycle);

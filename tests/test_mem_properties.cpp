@@ -123,10 +123,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{4, 2, 4, 8, 16, 400, 2},
                       Geometry{5, 4, 8, 8, 64, 500, 512},
                       Geometry{6, 1, 8, 2, 4, 250, 8}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_r" +
-             std::to_string(info.param.ranks) + "b" +
-             std::to_string(info.param.banks);
+    [](const auto& p) {
+      return "seed" + std::to_string(p.param.seed) + "_r" +
+             std::to_string(p.param.ranks) + "b" +
+             std::to_string(p.param.banks);
     });
 
 // ---------------------------------------------------------------------------
@@ -417,11 +417,13 @@ TEST_P(SchedulerDiffTest, CachedScanMatchesFullScanReference) {
   constexpr Cycle kTrafficEnd = 30000;
   unsigned phase = kIdle;
   Cycle phase_end = 0;
-  std::optional<unsigned> waiting;  // rejected by a full queue; retried
+  unsigned waiting = 0;  // a request a full queue rejected; retried
+  bool have_waiting = false;
   Rng rng(dc.seed);
   std::uint64_t skipped = 0;
 
-  while (now < kTrafficEnd || waiting || !mc.idle() || !events.empty()) {
+  while (now < kTrafficEnd || have_waiting || !mc.idle() ||
+         !events.empty()) {
     ASSERT_LT(now, kTrafficEnd + 1'000'000) << "controller failed to drain";
     events.drain_until(now);
     if (now < kTrafficEnd) {
@@ -430,15 +432,16 @@ TEST_P(SchedulerDiffTest, CachedScanMatchesFullScanReference) {
         phase_end = now + rng.range(100, 600);
       }
       const std::uint64_t rate = phase == kWriteBurst ? 3 : phase == kReadHeavy;
-      if (!waiting && rng.chance(rate, 4)) {
+      if (!have_waiting && rng.chance(rate, 4)) {
         const bool w =
             phase == kWriteBurst ? rng.chance(9, 10) : rng.chance(1, 5);
         waiting = static_cast<unsigned>(reqs.size());
+        have_waiting = true;
         reqs.push_back({rng.below(dc.line_space) * kLineBytes,
                         w ? MemOp::kWrite : MemOp::kRead});
       }
     }
-    if (waiting && submit(*waiting)) waiting.reset();
+    if (have_waiting && submit(waiting)) have_waiting = false;
 
     const std::uint64_t r0 = reads.value();
     const std::uint64_t w0 = writes.value();
@@ -472,7 +475,7 @@ TEST_P(SchedulerDiffTest, CachedScanMatchesFullScanReference) {
     // Quiescence skip: with no traffic due, jump to the claimed cycle,
     // bounded by the next completion event. The controller does not tick
     // inside the window; the reference does, and must find nothing to do.
-    if (dc.skip && !waiting && (phase == kIdle || now >= kTrafficEnd)) {
+    if (dc.skip && !have_waiting && (phase == kIdle || now >= kTrafficEnd)) {
       Cycle target = claim;
       if (now < kTrafficEnd) target = std::min(target, phase_end);
       if (!events.empty()) target = std::min(target, events.next_cycle());

@@ -105,10 +105,10 @@ INSTANTIATE_TEST_SUITE_P(
         Params{6, 4, 0.5, 40, 6, 8},     // pathological: 4 entries
         Params{7, 64, 0.9, 120, 3, 128},
         Params{8, 32, 0.8, 100, 8, 2}),  // two lines, maximal versioning
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_e" +
-             std::to_string(info.param.ntc_entries) + "_l" +
-             std::to_string(info.param.line_space);
+    [](const auto& p) {
+      return "seed" + std::to_string(p.param.seed) + "_e" +
+             std::to_string(p.param.ntc_entries) + "_l" +
+             std::to_string(p.param.line_space);
     });
 
 }  // namespace

@@ -126,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{14, 1, 40, 8, 4},
                       FuzzCase{15, 2, 25, 2, 256},
                       FuzzCase{16, 4, 12, 10, 12}),
-    [](const auto& info) { return "seed" + std::to_string(info.param.seed); });
+    [](const auto& p) { return "seed" + std::to_string(p.param.seed); });
 
 }  // namespace
 }  // namespace ntcsim::recovery

@@ -69,8 +69,8 @@ TEST_P(RegressionMetrics, StaysWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(Goldens, RegressionMetrics,
                          ::testing::ValuesIn(kGoldens),
-                         [](const auto& info) {
-                           std::string n(to_string(info.param.mech));
+                         [](const auto& p) {
+                           std::string n(to_string(p.param.mech));
                            for (char& c : n) {
                              if (c == '-') c = '_';
                            }

@@ -90,7 +90,9 @@ TEST(ServiceStamp, DisabledAndClosedLoopAreNoOps) {
   closed.open_loop = false;
   EXPECT_EQ(workload::stamp_service_arrivals(t, closed, 0, 1), 0u);
   for (const core::MicroOp& op : t.ops()) {
-    if (op.kind == core::OpKind::kTxBegin) EXPECT_EQ(op.addr, 0u);
+    if (op.kind == core::OpKind::kTxBegin) {
+      EXPECT_EQ(op.addr, 0u);
+    }
   }
 }
 

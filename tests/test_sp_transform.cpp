@@ -22,7 +22,7 @@ Trace simple_tx_trace(int stores) {
     em.store(space().heap_base() + i * 8, 100 + i);
   }
   em.end_tx();
-  return em.take_combined();
+  return em.take_setup();
 }
 
 TEST(SpTransform, InjectsLogStoresPerDataStore) {
@@ -104,7 +104,7 @@ TEST(SpTransform, ReadOnlyTxAddsNothing) {
   em.begin_tx();
   em.load(space().heap_base());
   em.end_tx();
-  const Trace out = transform_sp(em.take_combined(), 0, space());
+  const Trace out = transform_sp(em.take_setup(), 0, space());
   EXPECT_EQ(out.count(OpKind::kStore), 0u);
   EXPECT_EQ(out.count(OpKind::kClwb), 0u);
   EXPECT_EQ(out.size(), 3u);
@@ -115,7 +115,7 @@ TEST(SpTransform, VolatileStoresPassThrough) {
   em.begin_tx();
   em.store(64, 1);  // DRAM
   em.end_tx();
-  const Trace out = transform_sp(em.take_combined(), 0, space());
+  const Trace out = transform_sp(em.take_setup(), 0, space());
   EXPECT_EQ(out.count(OpKind::kStore), 1u);
   EXPECT_EQ(out.count(OpKind::kClwb), 0u);
 }
@@ -128,7 +128,7 @@ TEST(SpTransform, SuccessiveTxsGetDistinctLogRecords) {
     em.end_tx();
   }
   const AddressSpace s = space();
-  const Trace out = transform_sp(em.take_combined(), 0, s);
+  const Trace out = transform_sp(em.take_setup(), 0, s);
   std::vector<Addr> log_addrs;
   for (const MicroOp& op : out.ops()) {
     if (op.kind == OpKind::kNtStore && op.addr >= s.log_base(0)) {

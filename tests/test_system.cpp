@@ -137,8 +137,8 @@ INSTANTIATE_TEST_SUITE_P(Workloads, MechTest,
                          ::testing::Values(WorkloadKind::kSps,
                                            WorkloadKind::kHashtable,
                                            WorkloadKind::kRbtree),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& p) {
+                           return std::string(to_string(p.param));
                          });
 
 TEST(SystemMultiCore, FourCoresRunIndependentWorkloads) {

@@ -131,8 +131,8 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadTest,
                                            WorkloadKind::kBtree,
                                            WorkloadKind::kQueue,
                                            WorkloadKind::kSkiplist),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
+                         [](const auto& p) {
+                           return std::string(to_string(p.param));
                          });
 
 TEST(WorkloadMix, LookupPctZeroMeansNoSearchTxs) {

@@ -116,7 +116,9 @@ def shell_blocks(path):
 def tiny_args(args):
     """Rewrite a documented argv (minus the binary) to run fast: tiny
     preset, small scale, capped request/op counts. Appended flags win
-    because the CLI parses left to right (and --preset is order-free)."""
+    because the CLI parses left to right (and --preset is order-free).
+    --matrix runs every cell at its default size and rejects --setup, so
+    only a single-cell or crash-sweep command gets a small setup."""
     out = []
     for a in args:
         if a.startswith("--requests="):
@@ -128,7 +130,9 @@ def tiny_args(args):
         elif a.startswith("--config="):
             return None  # needs a user-supplied file; nothing to smoke
         out.append(a)
-    out += ["--preset=tiny", "--scale=0.01", "--jobs=2", "--setup=200"]
+    out += ["--preset=tiny", "--scale=0.01", "--jobs=2"]
+    if "--matrix" not in args:
+        out.append("--setup=200")
     return out
 
 

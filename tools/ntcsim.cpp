@@ -17,6 +17,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faultsim/campaign.hpp"
@@ -38,21 +39,19 @@ using namespace ntcsim;
 void usage() { std::fputs(sim::kCliHelp, stdout); }
 
 struct Cli {
-  WorkloadKind workload = WorkloadKind::kRbtree;
-  Mechanism mechanism = Mechanism::kTc;
+  // The cell flags, set only when given; `params` and cfg.mechanism hold
+  // the effective values. Given ones narrow or size the --crash-sweep cell
+  // set (defaults sweep everything); --matrix reads only --seed of them.
+  std::optional<WorkloadKind> workload;
+  std::optional<Mechanism> mechanism;
+  std::optional<std::uint64_t> ops, setup, seed;
+  std::optional<unsigned> lookup;
+  std::optional<Cycle> crash_at;
   std::string preset = "experiment";
   SystemConfig cfg = SystemConfig::experiment();
   workload::WorkloadParams params;
-  Cycle crash_at = 0;
   bool crash_sweep = false;
   std::string crash_report = "CRASH_sweep.json";
-  // Which cell coordinates were given explicitly (they narrow the
-  // --crash-sweep cell set; defaults sweep everything).
-  bool mech_explicit = false;
-  bool wl_explicit = false;
-  bool seed_explicit = false;
-  bool ops_explicit = false;
-  bool setup_explicit = false;
   bool matrix = false;
   sim::ExperimentOptions opts;  ///< --scale and --jobs (0 = auto)
   const char* profile = nullptr;  ///< --profile report path, if profiling
@@ -105,6 +104,33 @@ bool apply_alias(const std::string& a, Cli& cli, std::string& error) {
   return false;
 }
 
+/// "" unless --matrix was given with a flag it does not read. The matrix
+/// runs every workload x mechanism cell at the default sizes, so a flag
+/// that picks, sizes or inspects one cell, or a second run mode, would be
+/// silently ignored.
+std::string matrix_conflict(const Cli& cli) {
+  if (cli.crash_sweep) {
+    return "--matrix and --crash-sweep (or --crash-points) are separate run "
+           "modes; give one";
+  }
+  const std::pair<bool, const char*> single_cell_flags[] = {
+      {cli.workload.has_value(), "--workload"},
+      {cli.mechanism.has_value(), "--mechanism"},
+      {cli.ops.has_value(), "--ops"},
+      {cli.setup.has_value(), "--setup"},
+      {cli.lookup.has_value(), "--lookup"},
+      {cli.crash_at.has_value(), "--crash-at"},
+      {cli.stats, "--stats"},
+  };
+  for (const auto& [given, flag] : single_cell_flags) {
+    if (given) {
+      return std::string("--matrix does not read ") + flag +
+             ": it applies to a single cell";
+    }
+  }
+  return "";
+}
+
 bool parse_args(int argc, char** argv, Cli& cli) {
   // Two passes: preset first (later keys overlay it).
   for (int i = 1; i < argc; ++i) {
@@ -124,8 +150,6 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     return false;
   }
 
-  std::optional<std::uint64_t> ops, setup, seed;
-  std::optional<unsigned> lookup;
   std::string error;
   for (int i = 1; i < argc && error.empty(); ++i) {
     const std::string a = argv[i];
@@ -138,13 +162,11 @@ bool parse_args(int argc, char** argv, Cli& cli) {
       usage();
       std::exit(0);
     } else if (a.rfind("--workload=", 0) == 0) {
-      if (!sim::parse_workload(value(), cli.workload)) {
+      if (!sim::parse_workload(value(), cli.workload.emplace())) {
         error = "unknown workload \"" + value() + "\"";
       }
-      cli.wl_explicit = true;
     } else if (a.rfind("--mechanism=", 0) == 0) {
-      cli.mech_explicit = true;
-      if (!sim::parse_mechanism(value(), cli.mechanism)) {
+      if (!sim::parse_mechanism(value(), cli.mechanism.emplace())) {
         error = "unknown mechanism \"" + value() + "\" (known: " +
                 persist::DomainRegistry::instance().known_names() + ")";
       }
@@ -181,16 +203,16 @@ bool parse_args(int argc, char** argv, Cli& cli) {
                                        error)) {
       // a config-key alias (kAliases) or a flag shared with the benches
     } else if (a.rfind("--ops=", 0) == 0) {
-      number(sim::Bounds<std::uint64_t>{}, ops.emplace());
+      number(sim::Bounds<std::uint64_t>{}, cli.ops.emplace());
     } else if (a.rfind("--setup=", 0) == 0) {
       // The generators need at least one element to build.
-      number(sim::Bounds<std::uint64_t>{1}, setup.emplace());
+      number(sim::Bounds<std::uint64_t>{1}, cli.setup.emplace());
     } else if (a.rfind("--lookup=", 0) == 0) {
-      number(sim::Bounds<unsigned>{0, 100}, lookup.emplace());
+      number(sim::Bounds<unsigned>{0, 100}, cli.lookup.emplace());
     } else if (a.rfind("--seed=", 0) == 0) {
-      number(sim::Bounds<std::uint64_t>{}, seed.emplace());
+      number(sim::Bounds<std::uint64_t>{}, cli.seed.emplace());
     } else if (a.rfind("--crash-at=", 0) == 0) {
-      number(sim::Bounds<Cycle>{}, cli.crash_at);
+      number(sim::Bounds<Cycle>{}, cli.crash_at.emplace());
     } else if (a == "--crash-sweep") {
       cli.crash_sweep = true;
     } else if (a.rfind("--crash-report=", 0) == 0) {
@@ -207,6 +229,7 @@ bool parse_args(int argc, char** argv, Cli& cli) {
       error = "unknown argument \"" + a + "\" (try --help)";
     }
   }
+  if (error.empty() && cli.matrix) error = matrix_conflict(cli);
   if (!error.empty()) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return false;
@@ -218,18 +241,16 @@ bool parse_args(int argc, char** argv, Cli& cli) {
     return false;
   }
 
-  cli.cfg.mechanism = cli.mechanism;
-  cli.params = workload::default_params(cli.workload);
-  cli.ops_explicit = ops.has_value();
-  cli.setup_explicit = setup.has_value();
-  cli.seed_explicit = seed.has_value();
-  if (ops) cli.params.ops = *ops;
+  cli.cfg.mechanism = cli.mechanism.value_or(Mechanism::kTc);
+  cli.params =
+      workload::default_params(cli.workload.value_or(WorkloadKind::kRbtree));
+  if (cli.ops) cli.params.ops = *cli.ops;
   if (cli.cfg.service.enabled && cli.cfg.service.requests > 0) {
     cli.params.ops = cli.cfg.service.requests;  // --requests wins over --ops
   }
-  if (setup) cli.params.setup_elems = *setup;
-  if (lookup) cli.params.lookup_pct = *lookup;
-  if (seed) cli.params.seed = *seed;
+  if (cli.setup) cli.params.setup_elems = *cli.setup;
+  if (cli.lookup) cli.params.lookup_pct = *cli.lookup;
+  if (cli.seed) cli.params.seed = *cli.seed;
   return true;
 }
 
@@ -241,8 +262,8 @@ bool parse_args(int argc, char** argv, Cli& cli) {
 // violated atomicity.
 int run_crash_sweep_mode(const Cli& cli) {
   SystemConfig cfg = cli.cfg;
-  if (cli.ops_explicit) cfg.crash.ops = cli.params.ops;
-  if (cli.setup_explicit) cfg.crash.setup = cli.params.setup_elems;
+  if (cli.ops) cfg.crash.ops = cli.params.ops;
+  if (cli.setup) cfg.crash.setup = *cli.setup;
   const double ops = static_cast<double>(cfg.crash.ops) * cli.opts.scale;
   if (ops >= 0x1p64) {
     std::fprintf(stderr, "--crash-sweep: %g scaled ops per core overflow a "
@@ -252,23 +273,23 @@ int run_crash_sweep_mode(const Cli& cli) {
   cfg.crash.ops = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ops));
 
   std::vector<faultsim::VariantSpec> variants = faultsim::default_variants();
-  if (cli.mech_explicit) {
+  if (cli.mechanism) {
     std::vector<faultsim::VariantSpec> kept;
     for (faultsim::VariantSpec& v : variants) {
-      if (v.mech == cli.mechanism) kept.push_back(std::move(v));
+      if (v.mech == *cli.mechanism) kept.push_back(std::move(v));
     }
     if (kept.empty()) {
       std::fprintf(stderr, "--crash-sweep: mechanism \"%s\" has no campaign "
                            "variant\n",
                    persist::DomainRegistry::instance()
-                       .info(cli.mechanism).name.c_str());
+                       .info(*cli.mechanism).name.c_str());
       return 1;
     }
     variants = std::move(kept);
   }
   const std::vector<WorkloadKind> workloads =
-      cli.wl_explicit ? std::vector<WorkloadKind>{cli.workload}
-                      : faultsim::default_workloads();
+      cli.workload ? std::vector<WorkloadKind>{*cli.workload}
+                   : faultsim::default_workloads();
   for (const WorkloadKind wl : workloads) {
     if (faultsim::setup_elems(cfg, wl) == 0) {
       std::fprintf(stderr, "--crash-sweep: crash.setup=%llu overflows the %s "
@@ -279,8 +300,8 @@ int run_crash_sweep_mode(const Cli& cli) {
     }
   }
   std::vector<std::uint64_t> seeds;
-  if (cli.seed_explicit) {
-    seeds.push_back(cli.params.seed);
+  if (cli.seed) {
+    seeds.push_back(*cli.seed);
   } else {
     for (unsigned s = 1; s <= std::max(1u, cfg.crash.seeds); ++s) {
       seeds.push_back(s);
@@ -356,9 +377,9 @@ int run(const Cli& cli) {
   sim::Cell cell(cli.cfg, cli.params, &journal);
   sim::Cluster& sys = cell.cluster();
 
-  if (cli.crash_at > 0) {
+  if (cli.crash_at.value_or(0) > 0) {
     const Cycle epoch = sys.now();
-    while (sys.now() < epoch + cli.crash_at && !sys.run_for(1000)) {
+    while (sys.now() < epoch + *cli.crash_at && !sys.run_for(1000)) {
     }
     const recovery::WordImage img = sys.crash_and_recover();
     const auto report = recovery::check_atomicity(img, journal);
@@ -381,8 +402,9 @@ int run(const Cli& cli) {
 
   const sim::Metrics m = cell.run();
 
-  const std::string label = std::string(to_string(cli.workload)) + "/" +
-                            std::string(sim::mechanism_label(cli.mechanism));
+  const std::string label =
+      std::string(to_string(cli.params.kind)) + "/" +
+      std::string(sim::mechanism_label(cli.cfg.mechanism));
   if (cli.csv) {
     sim::write_metrics_csv_row(std::cout, label, m, /*header=*/true);
   } else {
