@@ -10,13 +10,14 @@ namespace ntcsim::cache {
 
 Hierarchy::Hierarchy(const NodeConfig& cfg, mem::MemorySystem& mem,
                      EventQueue& events, StatSet& stats,
-                     recovery::VolatileImage* vimage)
+                     recovery::VolatileImage* vimage, const Cycle* clock)
     : cfg_(cfg),
       mem_(&mem),
       events_(&events),
       stats_(&stats),
       vimage_(vimage),
-      llc_(cfg.llc) {
+      llc_(cfg.llc),
+      clock_(clock) {
   for (unsigned c = 0; c < cfg_.cores; ++c) {
     l1_.push_back(std::make_unique<CacheArray>(cfg_.l1));
     l2_.push_back(std::make_unique<CacheArray>(cfg_.l2));
@@ -223,10 +224,10 @@ void Hierarchy::issue_llc_read(Cycle now, LlcMiss& miss) {
 void Hierarchy::complete_llc_miss(Addr line) {
   // A Kiln commit flush is occupying the LLC: the fill waits out the block
   // window, exactly like the requests the paper says get blocked (§5.2).
-  if (now_ < llc_blocked_until_) {
-    // +1: hier's clock is updated by tick() after the event drain, so a
-    // re-fire at exactly llc_blocked_until_ would still observe now_ behind
-    // the block end and loop.
+  // As in the cycle-stepped model, the test is on the last cycle ticked
+  // before this event drains (*clock_ - 1), so a fill that arrives at the
+  // block's end re-fires one cycle later.
+  if (*clock_ <= llc_blocked_until_) {
     events_->schedule_at(llc_blocked_until_ + 1,
                          [this, line] { complete_llc_miss(line); });
     return;
@@ -337,7 +338,7 @@ void Hierarchy::writeback_to_memory(Addr line, bool persistent,
   if (persistent && vimage_ != nullptr && !hooks_.llc_nonvolatile) {
     req.payload = vimage_->words_in_line(line);
   }
-  if (!mem_->enqueue(req, now_)) {
+  if (!mem_->enqueue(req, *clock_)) {
     wb_retry_.push_back(std::move(req));
   }
 }
@@ -513,7 +514,6 @@ void Hierarchy::block_llc_until(Cycle until) {
 }
 
 void Hierarchy::tick(Cycle now) {
-  now_ = now;
   while (!wb_retry_.empty()) {
     if (!mem_->enqueue(wb_retry_.front(), now)) break;
     wb_retry_.pop_front();

@@ -61,8 +61,11 @@ class Hierarchy {
  public:
   using DoneFn = std::function<void()>;
 
+  /// `clock` is the cluster clock (the cycle whose events are draining or
+  /// whose components are ticking); it must outlive the hierarchy.
   Hierarchy(const NodeConfig& cfg, mem::MemorySystem& mem, EventQueue& events,
-            StatSet& stats, recovery::VolatileImage* vimage);
+            StatSet& stats, recovery::VolatileImage* vimage,
+            const Cycle* clock);
 
   /// Demand load. A hit carries no persistence work and schedules nothing:
   /// it reports the cycle its data reaches the core. After a kMiss, call
@@ -111,11 +114,11 @@ class Hierarchy {
   bool quiesced() const;
 
   /// Earliest cycle > now at which tick() could do work (quiescence
-  /// contract): any outstanding miss or queued write-back pins now + 1
-  /// (retry loops, and the completion callbacks read the tick-fresh
-  /// clock); a quiesced hierarchy is purely event-driven — kNeverCycle.
+  /// contract): a queued write-back or a miss the controller has not
+  /// accepted yet pins now + 1 (tick() retries them); misses the
+  /// controller holds complete through events, so otherwise kNeverCycle.
   NTC_HOT Cycle next_event_cycle(Cycle now) const {
-    return quiesced() ? kNeverCycle : now + 1;
+    return wb_retry_.empty() && unissued_misses_ == 0 ? kNeverCycle : now + 1;
   }
 
   HierarchyHooks& hooks() { return hooks_; }
@@ -188,7 +191,7 @@ class Hierarchy {
   std::deque<mem::MemRequest> wb_retry_;
   std::size_t unissued_misses_ = 0;  ///< LlcMiss entries with needs_issue.
   Cycle llc_blocked_until_ = 0;
-  Cycle now_ = 0;  ///< Updated by tick(); used by memory callbacks.
+  const Cycle* clock_;  ///< The cluster clock; read by memory callbacks.
 
   CounterHandle stat_l1_hits_;
   CounterHandle stat_l1_misses_;

@@ -17,7 +17,7 @@ PendingStores::PendingStores(std::size_t max_pending) {
 }
 
 Core::Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
-           cache::Hierarchy& hier, StatSet& stats)
+           cache::Hierarchy& hier, StatSet& stats, const Cycle* clock)
     : id_(id),
       cfg_(cfg),
       domain_(&domain),
@@ -29,6 +29,7 @@ Core::Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
       unissued_q_(cfg.rob_entries),
       sb_(cfg.store_buffer_entries),
       pending_stores_(std::size_t{cfg.rob_entries} + cfg.store_buffer_entries),
+      clock_(clock),
       req_start_q_(std::size_t{cfg.rob_entries} + 1) {
   stat_load_lat_ = AccumulatorHandle(*stats_, prefix_ + ".load_latency");
   stat_pload_lat_ = AccumulatorHandle(*stats_, prefix_ + ".pload_latency");
@@ -56,6 +57,7 @@ void Core::bind_trace(const Trace* trace) {
   run_fetched_ = 0;
   req_start_q_.clear();
   trace_base_valid_ = false;
+  asleep_ = false;
 }
 
 NTC_HOT bool Core::forwarded_by_store_(const RobEntry* until,
@@ -150,9 +152,12 @@ void Core::note_load_latency_(const RobEntry& e, Cycle latency) {
 }
 
 void Core::on_load_done_(RobEntry* e) {
-  // The fill drains before this cycle's tick, which retires the load.
+  // The fill drains before this cycle's tick, which retires the load. The
+  // latency runs to the cycle before (the last one ticked, had the core
+  // been awake).
   e->ready_at = 0;
-  note_load_latency_(*e, now_cache_ - e->issue_cycle);
+  note_load_latency_(*e, *clock_ - 1 - e->issue_cycle);
+  wake_();
 }
 
 NTC_HOT void Core::issue_loads_(Cycle now) {
@@ -198,9 +203,11 @@ void Core::flush_wc_buffer_(Cycle /*now*/) {
   req.source = mem::Source::kLog;
   req.payload = std::move(wc_words_);
   wc_words_.clear();
-  unsigned* counter = &outstanding_log_flushes_;
-  ++*counter;
-  req.on_complete = [counter](const mem::MemRequest&) { --*counter; };
+  ++outstanding_log_flushes_;
+  req.on_complete = [this](const mem::MemRequest&) {
+    --outstanding_log_flushes_;
+    wake_();
+  };
   nt_pending_.push_back(std::move(req));
 }
 
@@ -359,8 +366,10 @@ unsigned Core::retire_head_(Cycle now, unsigned slots) {
           is_log ? mem::Source::kLog : mem::Source::kFlush;
       unsigned* counter =
           is_log ? &outstanding_log_flushes_ : &outstanding_data_flushes_;
-      const bool ok =
-          hier_->clwb(now, id_, e.op.addr, src, [counter] { --*counter; });
+      const bool ok = hier_->clwb(now, id_, e.op.addr, src, [this, counter] {
+        --*counter;
+        wake_();
+      });
       if (!ok) {
         note_stall_(Stall::kClwbIssue);
         return 0;
@@ -399,7 +408,6 @@ unsigned Core::retire_head_(Cycle now, unsigned slots) {
 }
 
 void Core::tick(Cycle now) {
-  now_cache_ = now;
   if (!trace_base_valid_) {
     trace_base_ = now;
     trace_base_valid_ = true;
@@ -421,29 +429,81 @@ void Core::tick(Cycle now) {
   fetch_(now);
 }
 
-Cycle Core::next_event_cycle(Cycle now) const {
-  // Not ticked yet: the first tick establishes trace_base_, which is a
-  // state change in itself.
-  if (!trace_base_valid_) return now + 1;
-  // Any buffered work keeps the core on the per-cycle path: retire/drain
-  // progress and the stall counters (coreN.stall.*, ntc_stall_cycles) are
-  // observable every blocked cycle.
-  if (!rob_.empty() || !sb_.empty() || !nt_pending_.empty()) return now + 1;
-  if (cursor_ >= trace_records_) {
-    // Trace done, buffers empty. An open write-combining line flushes on
-    // its own (WC timeout) at the next tick; after that only flush acks
-    // remain, and those are event-queue driven.
-    return wc_words_.empty() ? kNeverCycle : now + 1;
+void Core::sleep_if_blocked_(Cycle now) {
+  // Buffered work drains, issues or times out on its own: an open
+  // write-combining line flushes once the frontend has nothing left.
+  if (!sb_.empty() || !unissued_q_.empty() || !nt_pending_.empty()) return;
+  const bool trace_done = cursor_ >= trace_records_;
+  if (trace_done && rob_.empty() && !wc_words_.empty()) return;
+  Cycle wake = kNeverCycle;
+  if (!trace_done && rob_uops_ < cfg_.rob_entries) {
+    // Fetch stalls only at a request that has not arrived yet.
+    const MicroOp& op = trace_->ops()[cursor_];
+    if (op.kind != OpKind::kTxBegin || op.addr == 0) return;
+    wake = trace_base_ + op.addr + op.net_fwd;
   }
-  const MicroOp& op = trace_->ops()[cursor_];
-  if (op.kind == OpKind::kTxBegin && op.addr > 0) {
-    // Arrival-gated service request: with every buffer empty the frontend
-    // is provably idle until the request arrives (the WC-timeout flush
-    // needs cursor_ >= size, so it cannot fire inside this window).
-    const Cycle arrive = trace_base_ + op.addr + op.net_fwd;
-    if (arrive > now) return arrive;
+  Stall stall = Stall::kCount;
+  if (!rob_.empty()) {
+    // A head that waits on time or on a callback; every other head
+    // retires, or re-checks state the core does not own, each cycle.
+    const RobEntry& head = rob_.front();
+    switch (head.op.kind) {
+      case OpKind::kCompute:
+        stall = Stall::kCompute;
+        wake = std::min(wake, head.ready_at);
+        break;
+      case OpKind::kLoad:  // a fill's callback sets ready_at
+        stall = Stall::kLoad;
+        wake = std::min(wake, head.ready_at);
+        break;
+      case OpKind::kPcommit:  // an acknowledgement's callback wakes it
+        if (outstanding_log_flushes_ == 0) return;
+        stall = Stall::kPcommit;
+        break;
+      default:
+        return;
+    }
   }
-  return now + 1;
+  if (wake <= now + 1) return;
+  asleep_ = true;
+  wake_at_ = wake;
+  slept_from_ = now + 1;
+  sleep_stall_ = stall;
+}
+
+std::uint64_t Core::stall_total_() const {
+  std::uint64_t total = 0;
+  for (const CounterHandle& h : stat_stalls_) total += h->value();
+  return total;
+}
+
+void Core::verify_sleep_tick_(Cycle now) {
+  const std::uint64_t retired = retired_;
+  const unsigned rob_uops = rob_uops_;
+  const std::size_t cursor = cursor_;
+  const std::uint32_t run_fetched = run_fetched_;
+  const std::size_t wc_words = wc_words_.size();
+  const unsigned log_flushes = outstanding_log_flushes_;
+  const std::uint64_t stalls = stall_total_();
+  const bool charged = sleep_stall_ != Stall::kCount;
+  const auto predicted = [this] {
+    return stat_stalls_[static_cast<std::size_t>(sleep_stall_)]->value();
+  };
+  const std::uint64_t predicted_before = charged ? predicted() : 0;
+  tick(now);
+  NTC_CHECK_MSG(retired_ == retired && rob_uops_ == rob_uops &&
+                    cursor_ == cursor && run_fetched_ == run_fetched &&
+                    wc_words_.size() == wc_words &&
+                    outstanding_log_flushes_ == log_flushes &&
+                    sb_.empty() && unissued_q_.empty() &&
+                    nt_pending_.empty() &&
+                    stall_total_() == stalls + (charged ? 1 : 0) &&
+                    (!charged || predicted() == predicted_before + 1),
+                "skip.verify: %s did more than count one stall at cycle %llu, "
+                "asleep until %llu",
+                prefix_.c_str(), static_cast<unsigned long long>(now),
+                static_cast<unsigned long long>(wake_at_));
+  slept_from_ = now + 1;  // the tick itself counted this cycle's stall
 }
 
 bool Core::finished() const {

@@ -7,6 +7,7 @@
 // cached at construction so unused hooks cost nothing per cycle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -53,20 +54,53 @@ class PendingStores {
 
 class Core {
  public:
+  /// `clock` is the cluster clock (the cycle whose events are draining or
+  /// whose components are ticking); it must outlive the core.
   Core(CoreId id, const CoreConfig& cfg, PersistHooks& domain,
-       cache::Hierarchy& hier, StatSet& stats);
+       cache::Hierarchy& hier, StatSet& stats, const Cycle* clock);
 
   void bind_trace(const Trace* trace);
   void tick(Cycle now);
 
+  /// tick(now), unless the core sleeps. A tick after which the core could
+  /// only count one stall per cycle (or nothing) puts it to sleep until
+  /// the cycle its ROB head or next request becomes ready, or until a
+  /// fill or flush acknowledgement calls back. Waking charges the slept
+  /// cycles to that stall counter in one step. With `verify`
+  /// (skip.verify) a slept cycle is ticked anyway, and aborts unless it
+  /// did nothing but count that one stall.
+  NTC_HOT void tick_when_due(Cycle now, bool verify) {
+    if (asleep_) {
+      if (now < wake_at_) {
+        if (verify) verify_sleep_tick_(now);
+        return;
+      }
+      settle(now);
+      asleep_ = false;
+    }
+    tick(now);
+    sleep_if_blocked_(now);
+  }
+
+  /// Charges a sleeping core's stall counter with the cycles it slept
+  /// before `now`, so the counters read what a stepped run's would.
+  void settle(Cycle now) {
+    if (!asleep_ || now <= slept_from_) return;
+    if (sleep_stall_ != Stall::kCount) {
+      const auto reason = static_cast<std::size_t>(sleep_stall_);
+      stat_stalls_[reason]->inc(now - slept_from_);
+    }
+    slept_from_ = now;
+  }
+
   /// Earliest cycle > now at which this core's tick could stop being a
   /// no-op, assuming no external input arrives first (quiescence contract,
-  /// docs/ARCHITECTURE.md "Clock advance & quiescence"). Any buffered work
-  /// — ROB, store buffer, pending WC flushes — pins the core to now + 1
-  /// (per-cycle stall counters must keep ticking); an arrival-gated
-  /// service request reports its arrival cycle; kNeverCycle means only
-  /// event-driven acks remain.
-  NTC_HOT Cycle next_event_cycle(Cycle now) const;
+  /// docs/ARCHITECTURE.md "Clock advance & quiescence"): a sleeping core's
+  /// wake cycle, kNeverCycle when only a callback can wake it, and now + 1
+  /// for a core that is awake.
+  NTC_HOT Cycle next_event_cycle(Cycle now) const {
+    return asleep_ ? std::max(wake_at_, now + 1) : now + 1;
+  }
 
   /// Trace fully fetched and every buffered effect has left the core.
   bool finished() const;
@@ -137,6 +171,15 @@ class Core {
   void note_stall_(Stall reason) {
     stat_stalls_[static_cast<std::size_t>(reason)]->inc();
   }
+  /// After tick(now): sleep if every tick until a known cycle or a
+  /// callback would only count the ROB head's stall.
+  void sleep_if_blocked_(Cycle now);
+  /// A callback changed what the core waits on: tick at the next cycle.
+  void wake_() { wake_at_ = 0; }
+  /// tick(now) at a cycle the core sleeps through, failing loudly if it
+  /// did more than count the predicted stall once.
+  void verify_sleep_tick_(Cycle now);
+  std::uint64_t stall_total_() const;
 
   CoreId id_;
   CoreConfig cfg_;
@@ -181,7 +224,15 @@ class Core {
 
   std::uint64_t retired_ = 0;
   std::uint64_t committed_txs_ = 0;
-  Cycle now_cache_ = 0;  ///< Last ticked cycle; read by load callbacks.
+  const Cycle* clock_;  ///< The cluster clock; read by load callbacks.
+
+  // Sleep state (tick_when_due). Sleeping cycles from slept_from_ on are
+  // not yet charged to sleep_stall_ (kCount: the ROB is empty, nothing to
+  // charge).
+  bool asleep_ = false;
+  Cycle wake_at_ = 0;  ///< First cycle worth a tick; kNeverCycle: a callback.
+  Cycle slept_from_ = 0;
+  Stall sleep_stall_ = Stall::kCount;
 
   /// Request-latency accounting: one entry per in-flight transaction,
   /// pushed at kTxBegin fetch (the request's arrival cycle when service

@@ -28,7 +28,7 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
     vimage_ = std::make_unique<recovery::VolatileImage>();
   }
   hier_ = std::make_unique<cache::Hierarchy>(cfg_, *mem_, events, stats_,
-                                             vimage_.get());
+                                             vimage_.get(), clock);
 
   hier_->hooks().drop_persistent_llc_writeback =
       policy_.drop_persistent_llc_writeback;
@@ -75,7 +75,7 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
 
   for (unsigned c = 0; c < cfg_.cores; ++c) {
     cores_.push_back(std::make_unique<core::Core>(c, cfg_.core, *domain_,
-                                                  *hier_, stats_));
+                                                  *hier_, stats_, clock));
   }
   traces_.resize(cfg_.cores);
 
@@ -150,16 +150,27 @@ void Node::load_trace(CoreId core, core::Trace trace) {
   cores_[core]->bind_trace(&traces_[core]);
 }
 
+void Node::set_skip(const SkipConfig& skip) {
+  skip_ = skip;
+  mem_->set_skip(skip);
+}
+
 void Node::tick(Cycle now) {
   // The per-component ProfScopes cost one relaxed load each when profiling
   // is off; under --profile they produce the step.* phase breakdown.
   {
     // A finished core's tick is a no-op (nothing to fetch, every buffer
     // empty); skipping it keeps uneven multi-core runs from paying for
-    // cores that retired early.
+    // cores that retired early. With skipping on, a blocked core also
+    // sleeps until the cycle or callback that wakes it.
     NTC_PROF_SCOPE("step.cores");
     for (auto& c : cores_) {
-      if (!c->finished()) c->tick(now);
+      if (c->finished()) continue;
+      if (skip_.enabled) {
+        c->tick_when_due(now, skip_.verify);
+      } else {
+        c->tick(now);
+      }
     }
   }
   {
@@ -201,6 +212,10 @@ Cycle Node::next_event_cycle(Cycle now) const {
   next = std::min(next, hier_->next_event_cycle(now));
   if (next <= now + 1) return next;
   return std::min(next, mem_->next_event_cycle(now));
+}
+
+void Node::settle(Cycle now) {
+  for (auto& c : cores_) c->settle(now);
 }
 
 bool Node::drained() const {

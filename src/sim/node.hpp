@@ -79,10 +79,18 @@ class Node {
   /// the configured domain asks for software logging.
   void load_trace(CoreId core, core::Trace trace);
 
+  /// Clock-skip settings (skip.enabled, skip.verify) for the cores'
+  /// and memory controllers' sleep.
+  void set_skip(const SkipConfig& skip);
+
   /// One simulated cycle of every component, in the fixed order the
   /// pre-cluster System used (cores, NTCs, Kiln, hierarchy, memory). The
   /// Cluster drains the shared event queue and advances the clock.
   void tick(Cycle now);
+
+  /// Charge every sleeping core's stall counter up to `now` (the next
+  /// cycle to run), so the statistics read as after a stepped run.
+  void settle(Cycle now);
 
   /// Every core retired its trace and all buffered effects (write-backs,
   /// NTC drains, flushes) reached memory. The shared event queue is the
@@ -130,6 +138,7 @@ class Node {
   NodeConfig cfg_;
   NodeId id_ = 0;
   SystemOptions opts_;
+  SkipConfig skip_;
   std::unique_ptr<persist::PersistenceDomain> domain_;
   persist::Policy policy_;  ///< == domain_->policy(), cached.
   StatSet stats_;

@@ -13,7 +13,7 @@ Cluster::Cluster(const SystemConfig& cfg, SystemOptions opts) : cfg_(cfg) {
   nodes_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<Node>(cfg_, i, n, events_, &now_, opts));
-    nodes_.back()->memory().set_skip(cfg_.skip);
+    nodes_.back()->set_skip(cfg_.skip);
   }
   // Skip accounting lives on node 0's StatSet, like the cluster's other
   // shared state; resolved once here (the PR 2 handle pattern).
@@ -123,7 +123,9 @@ void Cluster::run(Cycle max_cycles) {
 
 // The loop tests finished() once per executed cycle, right after the step,
 // and advances the clock only when it is false: a jump changes no
-// component state, so the answer still holds at the landing cycle.
+// component state, so the answer still holds at the landing cycle. On
+// return every sleeping core has charged its stall cycles, so a caller
+// reads the counters of a stepped run.
 bool Cluster::run_for(Cycle cycles) {
   const Cycle until = now_ + cycles;
   bool done = finished();
@@ -132,6 +134,7 @@ bool Cluster::run_for(Cycle cycles) {
     done = finished();
     if (!done) advance_clock_(until);
   }
+  for (auto& n : nodes_) n->settle(now_);
   return done;
 }
 

@@ -6,10 +6,10 @@
 // memory geometries that pass each key's bounds but not the limits across
 // keys exit 1 the same way, and so do more cores than the address space
 // has regions for, crash-sweep op and setup counts that overflow once
-// scaled, and --matrix with a flag it does not read. Nothing may die on a
-// signal or run into the timeout. Also checks that --profile writes its
-// report from a single ntcsim cell and from a bench binary, and that
-// --stats dumps every node.
+// scaled, and --matrix or --crash-sweep with a flag it does not read.
+// Nothing may die on a signal or run into the timeout. Also checks that
+// --profile writes its report from a single ntcsim cell and from a bench
+// binary, and that --stats dumps every node.
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -328,6 +328,24 @@ TEST(BadInput, MatrixWithAFlagItDoesNotRead) {
     const Outcome o =
         run({NTC_NTCSIM_BIN, "--matrix", "--preset=tiny", flag});
     cases.check(std::string("--matrix ") + flag, o, false);
+    const std::string given(flag);
+    const std::string name = given.substr(0, given.find('='));
+    EXPECT_NE(o.err.find(name), std::string::npos) << flag << "\n" << o.err;
+  }
+  cases.expect_clean();
+}
+
+TEST(BadInput, CrashSweepWithAFlagItDoesNotRead) {
+  // --crash-sweep picks its own crash points and writes its own report, so
+  // a flag that picks a crash point, a lookup share or a single-cell
+  // output would be silently ignored: each exits 1 with one line naming
+  // the flag before any cell runs.
+  Cases cases;
+  for (const char* flag :
+       {"--lookup=10", "--crash-at=5000", "--stats", "--csv"}) {
+    const Outcome o = run({NTC_NTCSIM_BIN, "--crash-sweep", "--preset=tiny",
+                           "--crash-report=", flag});
+    cases.check(std::string("--crash-sweep ") + flag, o, false);
     const std::string given(flag);
     const std::string name = given.substr(0, given.find('='));
     EXPECT_NE(o.err.find(name), std::string::npos) << flag << "\n" << o.err;

@@ -9,16 +9,20 @@
 //     frozen (no stat moves before the claimed cycle), with regressions
 //     for the two subtlest gates — the controller's periodic refresh /
 //     bank timing and the Kiln clean-backlog age threshold — plus the
-//     core's arrival-gated fetch in service mode.
+//     core's arrival-gated fetch in service mode, a blocked core's sleep
+//     and one-step stall charge, and the hierarchy leaving accepted
+//     misses to their events.
 //  2. Bit-identity: skip-on, skip-off (--no-skip) and skip.verify runs of
-//     the same cell must produce byte-identical CSV rows across
-//     mechanisms, workloads, node counts and service mode. Skip-off also
-//     ticks every memory controller every cycle, so the same rows pin the
-//     controllers' sleep between due cycles. skip.verify additionally
-//     single-steps every claimed window, and ticks every cycle a
-//     controller sleeps through, and aborts (via NTC_CHECK) if any
-//     supposedly idle cycle did work, so merely running the sweep under
-//     the tiny preset (verify on) is itself a proof.
+//     the same cell must produce byte-identical CSV rows and statistics
+//     across mechanisms, workloads, node counts and service mode.
+//     Skip-off also ticks every core and memory controller every cycle,
+//     so the same outputs pin the cores' and controllers' sleep.
+//     skip.verify additionally single-steps every claimed window, ticks
+//     every cycle a core or controller sleeps through, and aborts (via
+//     NTC_CHECK) if any supposedly idle cycle did work, so merely running
+//     the sweep under the tiny preset (verify on) is itself a proof.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -26,6 +30,7 @@
 
 #include "mem/memory_controller.hpp"
 #include "persist/kiln_unit.hpp"
+#include "persist/policy.hpp"
 #include "recovery/images.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -156,7 +161,8 @@ TEST(KilnSkip, CleanBacklogAgesTowardTheDeadlineRegression) {
   mem::MemorySystem mem(cfg, events, stats);
   recovery::DurableState durable(stats);
   mem.set_nvm_observer(&durable);
-  cache::Hierarchy hier(cfg, mem, events, stats, &vimage);
+  Cycle now = 0;
+  cache::Hierarchy hier(cfg, mem, events, stats, &vimage, &now);
   hier.hooks().llc_nonvolatile = true;
   KilnConfig kc;
   persist::KilnUnit kiln(1, kc, hier, events, &durable, stats);
@@ -164,7 +170,6 @@ TEST(KilnSkip, CleanBacklogAgesTowardTheDeadlineRegression) {
 
   EXPECT_EQ(kiln.next_event_cycle(0), kNeverCycle);
 
-  Cycle now = 0;
   kiln.begin_tx(0, 1);
   vimage.store(nvm, 5);
   kiln.on_store(now, 0, nvm, 5, 1);
@@ -218,38 +223,320 @@ TEST(CoreSkip, ArrivalGatedFetchPromisesTheArrivalCycle) {
   EXPECT_EQ(sys.metrics().committed_txs, 4u);
 }
 
-TEST(HierarchySkip, QuiescedIsNeverAndInFlightIsNow) {
+/// Every statistic of every node at full precision: each counter, each
+/// accumulator's sum, count and max, and each core's latency histograms.
+/// The skip bookkeeping (sim.cycles_skipped, sim.ticks_executed) is left
+/// out, since it is the one thing the modes are meant to change.
+std::string all_stats(Cluster& sys) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  for (NodeId n = 0; n < sys.nodes(); ++n) {
+    StatSet& stats = sys.node(n).stats();
+    std::ostringstream dump;
+    stats.dump(dump);
+    std::istringstream lines(dump.str());
+    for (std::string line; std::getline(lines, line);) {
+      const std::string name = line.substr(0, line.find(" = "));
+      if (name == "sim.cycles_skipped" || name == "sim.ticks_executed") {
+        continue;
+      }
+      os << "node" << n << " " << line;
+      if (line.find(" = mean ") != std::string::npos) {
+        const Accumulator& a = stats.accumulator(name);
+        os << " sum " << a.sum() << " max " << a.max();
+      }
+      os << '\n';
+    }
+    for (CoreId c = 0; c < sys.config().cores; ++c) {
+      for (const char* hist : {".pload_latency_hist", ".req_latency_hist"}) {
+        const std::string name = "core" + std::to_string(c) + hist;
+        const Histogram& h = stats.histogram(name);
+        os << "node" << n << " " << name;
+        for (int b = 0; b < Histogram::kBuckets; ++b) os << ' ' << h.bucket(b);
+        os << '\n';
+      }
+    }
+  }
+  return os.str();
+}
+
+TEST(HierarchySkip, AcceptedMissIsNeverAndRetryIsNow) {
+  // Misses the controller has accepted complete through their events, so
+  // they leave the hierarchy idle (kNeverCycle) though not quiesced. A
+  // miss the controller refused, and a write-back it could not take, wait
+  // in the hierarchy, and tick() retries them the next cycle.
+  const SystemConfig cfg = SystemConfig::tiny();
+  EventQueue events;
+  StatSet stats;
+  Cycle now = 0;
+  mem::MemorySystem mem(cfg, events, stats);
+  cache::Hierarchy hier(cfg, mem, events, stats, nullptr, &now);
+  auto step = [&](bool tick_memory) {
+    events.drain_until(now);
+    hier.tick(now);
+    if (tick_memory) mem.tick(now);
+    ++now;
+  };
+  auto drain = [&] {
+    for (int i = 0; i < 5000 && !(hier.quiesced() && mem.idle()); ++i) {
+      step(true);
+    }
+    ASSERT_TRUE(hier.quiesced() && mem.idle());
+  };
+  // Lines one LLC set apart share the set (and the NVM channel).
+  const Addr set_stride = cfg.llc.sets() * kLineBytes;
+  const Addr base = cfg.address_space.heap_base();
+  auto line = [&](unsigned i) { return base + i * set_stride; };
+
+  // Fill the set's ways with dirty lines.
+  for (unsigned i = 0; i < cfg.llc.ways; ++i) {
+    ASSERT_NE(hier.load(now, 0, line(i), true).kind,
+              cache::AccessKind::kRejected);
+    drain();
+    ASSERT_TRUE(hier.store(now, 0, line(i), i + 1, true, kNoTx));
+    drain();
+  }
+  EXPECT_EQ(hier.next_event_cycle(now - 1), kNeverCycle);
+
+  // A miss the controller accepted: idle until its fill event.
+  const std::uint64_t reads = stats.counter_value("nvm.reads");
+  ASSERT_EQ(hier.load(now, 0, line(cfg.llc.ways), true).kind,
+            cache::AccessKind::kMiss);
+  bool filled = false;
+  hier.wait_for_fill(0, line(cfg.llc.ways), [&] { filled = true; });
+  EXPECT_EQ(hier.next_event_cycle(now), kNeverCycle);
+  EXPECT_FALSE(hier.quiesced());
+
+  // Once the read is in flight, fill the write queue behind it: the fill
+  // evicts a dirty line whose write-back the controller refuses.
+  for (int i = 0; i < 5000 && stats.counter_value("nvm.reads") == reads; ++i) {
+    step(true);
+  }
+  ASSERT_GT(stats.counter_value("nvm.reads"), reads);
+  mem::MemRequest w;
+  w.op = mem::MemOp::kWrite;
+  w.line_addr = line(cfg.llc.ways + 1);
+  w.persistent = true;
+  while (mem.enqueue(w, now)) {
+  }
+  for (int i = 0; i < 5000 && !filled; ++i) step(false);
+  ASSERT_TRUE(filled);
+  EXPECT_EQ(hier.next_event_cycle(now - 1), now) << "queued write-back";
+  drain();
+  EXPECT_EQ(hier.next_event_cycle(now - 1), kNeverCycle);
+
+  // A miss the controller refused: its read queue is full.
+  mem::MemRequest r;
+  r.op = mem::MemOp::kRead;
+  r.line_addr = line(cfg.llc.ways + 2);
+  while (mem.enqueue(r, now)) {
+  }
+  ASSERT_EQ(hier.load(now, 0, line(cfg.llc.ways + 3), true).kind,
+            cache::AccessKind::kMiss);
+  EXPECT_EQ(hier.next_event_cycle(now), now + 1) << "unissued miss";
+  drain();
+  EXPECT_EQ(hier.next_event_cycle(now - 1), kNeverCycle);
+}
+
+/// The cycle a load miss to the heap fills when the LLC is blocked until
+/// cycle 5, on a hierarchy ticked every cycle or only at cycle 0 (as when
+/// the clock jumps over the rest: with the miss accepted by the
+/// controller, the hierarchy claims kNeverCycle).
+Cycle fill_cycle_after_block(bool tick_hierarchy) {
+  const SystemConfig cfg = SystemConfig::tiny();
+  EventQueue events;
+  StatSet stats;
+  Cycle now = 0;
+  mem::MemorySystem mem(cfg, events, stats);
+  cache::Hierarchy hier(cfg, mem, events, stats, nullptr, &now);
+  const Addr a = cfg.address_space.heap_base();
+  EXPECT_EQ(hier.load(now, 0, a, true).kind, cache::AccessKind::kMiss);
+  Cycle filled = kNeverCycle;
+  hier.wait_for_fill(0, a, [&] { filled = now; });
+  hier.block_llc_until(5);
+  EXPECT_EQ(hier.next_event_cycle(now), kNeverCycle);
+  for (; now < 5000 && filled == kNeverCycle; ++now) {
+    events.drain_until(now);
+    if (now == 0 || tick_hierarchy) hier.tick(now);
+    mem.tick(now);
+  }
+  return filled;
+}
+
+TEST(HierarchySkip, KilnBlockIsCheckedOnTheClusterClock) {
+  // A fill that arrives after a Kiln commit block has ended completes on
+  // arrival, whether or not the hierarchy ticked in between. A block check
+  // on a cycle cached by tick() would see the block still on and re-fire
+  // the fill at the same cycle forever; the alarm turns that into a
+  // failure.
+  alarm(30);
+  const Cycle stepped = fill_cycle_after_block(true);
+  const Cycle jumped = fill_cycle_after_block(false);
+  alarm(0);
+  ASSERT_NE(stepped, kNeverCycle);
+  EXPECT_GT(stepped, 6u) << "the fill must arrive after the block";
+  EXPECT_EQ(jumped, stepped);
+}
+
+/// The statistics a sleeping core charges or records: every stall
+/// counter and the load latencies (sum, count and histogram).
+std::string core_stats(Cluster& sys) {
+  StatSet& stats = sys.stats();
+  std::ostringstream os;
+  for (const char* stall : {"compute", "load", "sb_full", "txend_drain",
+                            "txend_flush", "clwb_drain", "clwb_issue",
+                            "sfence", "pcommit"}) {
+    os << stall << ' '
+       << stats.counter_value(std::string("core0.stall.") + stall) << '\n';
+  }
+  for (const char* lat : {"core0.load_latency", "core0.pload_latency"}) {
+    os << lat << ' ' << stats.accumulator_sum(lat) << ' '
+       << stats.accumulator_count(lat) << '\n';
+  }
+  const Histogram& h = stats.histogram("core0.pload_latency_hist");
+  for (int b = 0; b < Histogram::kBuckets; ++b) os << h.bucket(b) << ' ';
+  return os.str();
+}
+
+/// A 1-core tiny machine running `trace` under `mech`, skip on with
+/// verify off (the jump path) or stepped.
+SystemConfig blocked_core_cfg(Mechanism mech, bool skip) {
   SystemConfig cfg = SystemConfig::tiny();
-  cfg.mechanism = Mechanism::kOptimal;
-  System sys(cfg);
+  cfg.mechanism = mech;
+  cfg.track_recovery_state = persist::policy_for(mech).needs_recovery_images;
+  cfg.skip.enabled = skip;
+  cfg.skip.verify = false;
+  return cfg;
+}
+
+/// Transactions of one persistent store each (SP waits at pcommit for
+/// the log flushes), then loads that miss to NVM (Optimal waits at them).
+core::Trace blocking_trace(const SystemConfig& cfg) {
   core::Trace t;
-  t.push(core::MicroOp::load(cfg.address_space.heap_base(), true));
-  sys.load_trace(0, std::move(t));
-  sys.run_for(2);  // the load's LLC miss is now in flight
-  const Cycle mid = sys.now() - 1;
-  EXPECT_EQ(sys.hierarchy().next_event_cycle(mid), mid + 1);
-  sys.run();
-  const Cycle end = sys.now() - 1;
-  EXPECT_EQ(sys.hierarchy().next_event_cycle(end), kNeverCycle);
+  const Addr base = cfg.address_space.heap_base();
+  for (TxId tx = 1; tx <= 4; ++tx) {
+    t.push(core::MicroOp::tx_begin(tx));
+    t.push(core::MicroOp::store(base + tx * 4096, tx, true));
+    t.push(core::MicroOp::tx_end());
+  }
+  for (Addr i = 0; i < 8; ++i) {
+    t.push(core::MicroOp::load(base + (i + 64) * 4096, true));
+    t.push(core::MicroOp::compute(2));
+  }
+  return t;
+}
+
+/// Runs blocking_trace() under `mech` jumping and stepped, and checks
+/// that the core claims kNeverCycle while it waits on `reason`, that the
+/// cluster jumps over the waits instead of ticking the core, and that the
+/// stall and latency counters end where the stepped run's do.
+void expect_blocked_core_sleeps(Mechanism mech, const char* reason) {
+  System stepped(blocked_core_cfg(mech, false));
+  stepped.load_trace(0, blocking_trace(stepped.config()));
+  stepped.run();
+
+  System sys(blocked_core_cfg(mech, true));
+  sys.load_trace(0, blocking_trace(sys.config()));
+  bool claimed_never = false;
+  // Windows end inside the sleeps; a lost wakeup stops at the stepped end.
+  while (!sys.run_for(7) && sys.now() < stepped.now()) {
+    claimed_never |= sys.core(0).next_event_cycle(sys.now() - 1) == kNeverCycle;
+  }
+  EXPECT_TRUE(claimed_never) << "no window ended with the core asleep";
+  EXPECT_EQ(sys.now(), stepped.now());
+  EXPECT_EQ(core_stats(sys), core_stats(stepped));
+
+  // Asleep, the core pins no cycle: in one run() the cluster jumps over
+  // the waits instead of ticking the core through them.
+  System whole(blocked_core_cfg(mech, true));
+  whole.load_trace(0, blocking_trace(whole.config()));
+  whole.run();
+  const std::uint64_t stalled = whole.stats().counter_value(reason);
+  EXPECT_GT(stalled, 100u) << reason;
+  EXPECT_GE(whole.cycles_skipped(), stalled / 2) << reason << " " << stalled;
+  EXPECT_EQ(whole.cycles_skipped() + whole.ticks_executed(), whole.now());
+}
+
+TEST(CoreSkip, SpCoreSleepsAtPcommitUntilTheLogAcknowledgement) {
+  expect_blocked_core_sleeps(Mechanism::kSp, "core0.stall.pcommit");
+}
+
+TEST(CoreSkip, OptimalCoreSleepsAtALoadMissUntilTheFill) {
+  expect_blocked_core_sleeps(Mechanism::kOptimal, "core0.stall.load");
+}
+
+TEST(CoreSkip, WindowsEndingMidSleepReadTheSteppedCounters) {
+  // Cluster::run_for settles every sleeping core's stall charge before it
+  // returns, so a timeline window or a crash point that ends inside a
+  // sleep reads what the stepped run reads at the same cycle.
+  SystemConfig jump_cfg = blocked_core_cfg(Mechanism::kSp, true);
+  jump_cfg.cores = 2;
+  SystemConfig step_cfg = blocked_core_cfg(Mechanism::kSp, false);
+  step_cfg.cores = 2;
+  System jump(jump_cfg);
+  System stepped(step_cfg);
+  workload::WorkloadParams p = workload::default_params(WorkloadKind::kSps);
+  p.setup_elems = 64;
+  p.ops = 12;
+  workload::SimHeap heap(jump_cfg.address_space, 2);
+  for (CoreId c = 0; c < 2; ++c) {
+    const core::Trace t = workload::generate(p, c, heap, nullptr);
+    jump.load_trace(c, t);
+    stepped.load_trace(c, t);
+  }
+  unsigned mid_sleep = 0;
+  bool done = false;
+  while (!done) {
+    done = jump.run_for(23);
+    ASSERT_EQ(stepped.run_for(23), done);
+    ASSERT_EQ(jump.now(), stepped.now());
+    mid_sleep += jump.core(0).next_event_cycle(jump.now() - 1) > jump.now();
+    ASSERT_EQ(all_stats(jump), all_stats(stepped)) << "cycle " << jump.now();
+  }
+  EXPECT_GT(mid_sleep, 0u) << "no window ended with core 0 asleep";
 }
 
 // ---------------------------------------------------------- bit-identity
 
-std::string cell_row(Mechanism mech, WorkloadKind wl, SystemConfig base,
-                     bool skip_on, bool verify = false) {
+/// One cell's CSV row followed by all_stats() of its measured phase.
+std::string cell_output(Mechanism mech, WorkloadKind wl, SystemConfig base,
+                        bool skip_on, bool verify = false,
+                        double scale = 0.02, double setup_scale = 0.05) {
   base.skip.enabled = skip_on;
   base.skip.verify = verify;
+  base.mechanism = mech;
+  base.track_recovery_state = persist::policy_for(mech).needs_recovery_images;
   ExperimentOptions opts;
-  opts.scale = 0.02;
-  opts.setup_scale = 0.05;
+  opts.scale = scale;
+  opts.setup_scale = setup_scale;
   opts.seed = 1;
-  const Metrics m = run_cell(mech, wl, base, opts);
+  Cell cell(base, cell_params(wl, base, opts));
+  const Metrics m = cell.run();
   std::ostringstream os;
   write_metrics_csv_row(os,
                         std::string(to_string(wl)) + "/" +
                             std::string(to_string(mech)),
                         m, /*header=*/true);
-  return os.str();
+  return os.str() + all_stats(cell.cluster());
+}
+
+/// Runs the cell jumping (verify off), stepped (--no-skip) and under
+/// skip.verify, and expects all three outputs to match.
+void expect_same_in_every_skip_mode(Mechanism mech, WorkloadKind wl,
+                                    const SystemConfig& base,
+                                    double scale = 0.02,
+                                    double setup_scale = 0.05) {
+  const std::string jump =
+      cell_output(mech, wl, base, true, false, scale, setup_scale);
+  const std::string stepped =
+      cell_output(mech, wl, base, false, false, scale, setup_scale);
+  const std::string verified =
+      cell_output(mech, wl, base, true, true, scale, setup_scale);
+  const std::string cell = std::string(to_string(wl)) + "/" +
+                           std::string(to_string(mech)) + " on " +
+                           std::to_string(base.topo.nodes) + " node(s)";
+  EXPECT_EQ(jump, stepped) << cell << ": clock jumping changed a statistic";
+  EXPECT_EQ(verified, stepped) << cell << ": verify mode changed a statistic";
 }
 
 class SkipIdentity : public ::testing::TestWithParam<Mechanism> {};
@@ -257,11 +544,7 @@ class SkipIdentity : public ::testing::TestWithParam<Mechanism> {};
 TEST_P(SkipIdentity, TinyCellsAreByteIdenticalWithAndWithoutSkip) {
   const SystemConfig base = SystemConfig::tiny();
   for (WorkloadKind wl : {WorkloadKind::kSps, WorkloadKind::kRbtree}) {
-    const std::string jump = cell_row(GetParam(), wl, base, true);
-    const std::string stepped = cell_row(GetParam(), wl, base, false);
-    EXPECT_EQ(jump, stepped)
-        << to_string(wl) << "/" << to_string(GetParam())
-        << ": clock jumping changed a simulated metric";
+    expect_same_in_every_skip_mode(GetParam(), wl, base);
   }
 }
 
@@ -284,26 +567,34 @@ TEST(SkipIdentityModes, ServiceModeSingleAndFourNodeCells) {
   base.service.requests = 60;
   for (unsigned nodes : {1u, 4u}) {
     base.topo.nodes = nodes;
-    const std::string jump =
-        cell_row(Mechanism::kTc, WorkloadKind::kSps, base, true);
-    const std::string stepped =
-        cell_row(Mechanism::kTc, WorkloadKind::kSps, base, false);
-    EXPECT_EQ(jump, stepped)
-        << nodes << "-node service cell diverged under clock jumping "
-        << "(tail-latency columns included)";
+    // Tail-latency columns and every node's statistics included.
+    expect_same_in_every_skip_mode(Mechanism::kTc, WorkloadKind::kSps, base);
   }
 }
 
 TEST(SkipIdentityModes, VerifyModeMatchesBothAndExecutesEverything) {
   const SystemConfig base = SystemConfig::tiny();
-  const std::string jump =
-      cell_row(Mechanism::kKiln, WorkloadKind::kRbtree, base, true);
-  const std::string verified =
-      cell_row(Mechanism::kKiln, WorkloadKind::kRbtree, base, true, true);
-  const std::string stepped =
-      cell_row(Mechanism::kKiln, WorkloadKind::kRbtree, base, false);
-  EXPECT_EQ(jump, verified);
-  EXPECT_EQ(verified, stepped);
+  expect_same_in_every_skip_mode(Mechanism::kKiln, WorkloadKind::kHashtable,
+                                 base);
+  SystemConfig cfg = base;
+  cfg.mechanism = Mechanism::kKiln;
+  cfg.track_recovery_state = true;
+  ExperimentOptions opts;
+  opts.scale = 0.02;
+  opts.setup_scale = 0.05;
+  Cell cell(cfg, cell_params(WorkloadKind::kHashtable, cfg, opts));
+  cell.run();
+  EXPECT_EQ(cell.cluster().cycles_skipped(), 0u);
+  EXPECT_EQ(cell.cluster().ticks_executed(), cell.cluster().now());
+}
+
+TEST(SkipIdentityModes, ExperimentPresetSpCell) {
+  // The measured presets trust the jump (verify off): a 4-core SP cell
+  // whose cores spend most cycles at pcommit and at load misses.
+  SystemConfig base = SystemConfig::experiment();
+  base.skip.verify = false;
+  expect_same_in_every_skip_mode(Mechanism::kSp, WorkloadKind::kHashtable,
+                                 base, 0.1, 0.05);
 }
 
 TEST(SkipIdentityModes, SkipActuallySkipsAndAccountsEveryCycle) {

@@ -461,26 +461,36 @@ constexpr RunTimingCase kRunTimingCases[] = {
 };
 
 TEST(CoreRuns, TimingMatchesThePerUopCore) {
+  // Each case also runs with the clock jumping and verify off, where a
+  // core sleeping at an unready compute run or load charges its stalls in
+  // one step, and stepped (--no-skip).
+  const SkipConfig modes[] = {{true, true}, {true, false}, {false, false}};
   for (const RunTimingCase& c : kRunTimingCases) {
-    const std::string row = std::string(to_string(c.mech)) + " latency " +
-                            std::to_string(c.compute_latency) + " rob " +
-                            std::to_string(c.rob_entries) + " width " +
-                            std::to_string(c.issue_width);
-    SCOPED_TRACE(row);
-    SystemConfig cfg = tiny(c.mech);
-    cfg.core.compute_latency = c.compute_latency;
-    cfg.core.rob_entries = c.rob_entries;
-    cfg.core.issue_width = c.issue_width;
-    System sys(cfg);
-    sys.load_trace(0, mixed_runs_trace(cfg.address_space));
-    sys.run();
-    EXPECT_EQ(sys.now(), c.end_cycle);
-    EXPECT_EQ(sys.stats().counter_value("core0.retired"), c.retired);
-    for (std::size_t i = 0; i < std::size(kStallNames); ++i) {
-      EXPECT_EQ(sys.stats().counter_value(std::string("core0.stall.") +
-                                          kStallNames[i]),
-                c.stalls[i])
-          << kStallNames[i];
+    for (const SkipConfig& skip : modes) {
+      const std::string row =
+          std::string(to_string(c.mech)) + " latency " +
+          std::to_string(c.compute_latency) + " rob " +
+          std::to_string(c.rob_entries) + " width " +
+          std::to_string(c.issue_width) + " skip " +
+          std::to_string(skip.enabled) + " verify " +
+          std::to_string(skip.verify);
+      SCOPED_TRACE(row);
+      SystemConfig cfg = tiny(c.mech);
+      cfg.core.compute_latency = c.compute_latency;
+      cfg.core.rob_entries = c.rob_entries;
+      cfg.core.issue_width = c.issue_width;
+      cfg.skip = skip;
+      System sys(cfg);
+      sys.load_trace(0, mixed_runs_trace(cfg.address_space));
+      sys.run();
+      EXPECT_EQ(sys.now(), c.end_cycle);
+      EXPECT_EQ(sys.stats().counter_value("core0.retired"), c.retired);
+      for (std::size_t i = 0; i < std::size(kStallNames); ++i) {
+        EXPECT_EQ(sys.stats().counter_value(std::string("core0.stall.") +
+                                            kStallNames[i]),
+                  c.stalls[i])
+            << kStallNames[i];
+      }
     }
   }
 }

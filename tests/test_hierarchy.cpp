@@ -14,7 +14,7 @@ class HierTest : public ::testing::Test {
     durable_ = std::make_unique<recovery::DurableState>(stats_);
     mem_->set_nvm_observer(durable_.get());
     hier_ = std::make_unique<Hierarchy>(cfg_, *mem_, events_, stats_,
-                                        &vimage_);
+                                        &vimage_, &now_);
     nvm_ = cfg_.address_space.nvm_base();
   }
 

@@ -15,7 +15,7 @@ class MultiCoreHierTest : public ::testing::Test {
     cfg_.cores = 2;
     mem_ = std::make_unique<mem::MemorySystem>(cfg_, events_, stats_);
     hier_ = std::make_unique<Hierarchy>(cfg_, *mem_, events_, stats_,
-                                        &vimage_);
+                                        &vimage_, &now_);
     nvm_ = cfg_.address_space.heap_base();
   }
 

@@ -14,7 +14,7 @@ class KilnTest : public ::testing::Test {
     durable_ = std::make_unique<recovery::DurableState>(stats_);
     mem_->set_nvm_observer(durable_.get());
     hier_ = std::make_unique<cache::Hierarchy>(cfg_, *mem_, events_, stats_,
-                                               &vimage_);
+                                               &vimage_, &now_);
     hier_->hooks().llc_nonvolatile = true;
     kiln_ = std::make_unique<KilnUnit>(1, KilnConfig{}, *hier_, events_,
                                        durable_.get(), stats_);

@@ -40,8 +40,8 @@ void usage() { std::fputs(sim::kCliHelp, stdout); }
 
 struct Cli {
   // The cell flags, set only when given; `params` and cfg.mechanism hold
-  // the effective values. Given ones narrow or size the --crash-sweep cell
-  // set (defaults sweep everything); --matrix reads only --seed of them.
+  // the effective values. mode_conflict says which ones --matrix and
+  // --crash-sweep read.
   std::optional<WorkloadKind> workload;
   std::optional<Mechanism> mechanism;
   std::optional<std::uint64_t> ops, setup, seed;
@@ -104,29 +104,50 @@ bool apply_alias(const std::string& a, Cli& cli, std::string& error) {
   return false;
 }
 
-/// "" unless --matrix was given with a flag it does not read. The matrix
-/// runs every workload x mechanism cell at the default sizes, so a flag
-/// that picks, sizes or inspects one cell, or a second run mode, would be
-/// silently ignored.
-std::string matrix_conflict(const Cli& cli) {
-  if (cli.crash_sweep) {
+/// "" unless a batch run mode (--matrix, --crash-sweep) was given a cell
+/// flag it does not read, or both modes were given: either would be
+/// silently ignored. A single cell reads every cell flag; the table says
+/// which ones each batch mode reads. The matrix runs every workload x
+/// mechanism cell at the default sizes; the crash sweep narrows and sizes
+/// its cells by them but picks its own crash points and writes its own
+/// report.
+std::string mode_conflict(const Cli& cli) {
+  if (!cli.matrix && !cli.crash_sweep) return "";
+  if (cli.matrix && cli.crash_sweep) {
     return "--matrix and --crash-sweep (or --crash-points) are separate run "
            "modes; give one";
   }
-  const std::pair<bool, const char*> single_cell_flags[] = {
-      {cli.workload.has_value(), "--workload"},
-      {cli.mechanism.has_value(), "--mechanism"},
-      {cli.ops.has_value(), "--ops"},
-      {cli.setup.has_value(), "--setup"},
-      {cli.lookup.has_value(), "--lookup"},
-      {cli.crash_at.has_value(), "--crash-at"},
-      {cli.stats, "--stats"},
+  struct CellFlag {
+    const char* flag;
+    bool given;
+    bool matrix;       ///< --matrix reads it
+    bool crash_sweep;  ///< --crash-sweep reads it
   };
-  for (const auto& [given, flag] : single_cell_flags) {
-    if (given) {
-      return std::string("--matrix does not read ") + flag +
-             ": it applies to a single cell";
+  const CellFlag flags[] = {
+      {"--workload", cli.workload.has_value(), false, true},
+      {"--mechanism", cli.mechanism.has_value(), false, true},
+      {"--seed", cli.seed.has_value(), true, true},
+      {"--ops", cli.ops.has_value(), false, true},
+      {"--setup", cli.setup.has_value(), false, true},
+      {"--lookup", cli.lookup.has_value(), false, false},
+      {"--crash-at", cli.crash_at.has_value(), false, false},
+      {"--stats", cli.stats, false, false},
+      {"--csv", cli.csv, true, false},
+  };
+  const auto reads = [&cli](const CellFlag& f) {
+    return cli.matrix ? f.matrix : f.crash_sweep;
+  };
+  for (const CellFlag& given : flags) {
+    if (!given.given || reads(given)) continue;
+    std::string read;
+    for (const CellFlag& f : flags) {
+      if (!reads(f)) continue;
+      read += read.empty() ? "" : ", ";
+      read += f.flag;
     }
+    return std::string(cli.matrix ? "--matrix" : "--crash-sweep") +
+           " does not read " + given.flag + ": of the cell flags it reads " +
+           read;
   }
   return "";
 }
@@ -229,7 +250,7 @@ bool parse_args(int argc, char** argv, Cli& cli) {
       error = "unknown argument \"" + a + "\" (try --help)";
     }
   }
-  if (error.empty() && cli.matrix) error = matrix_conflict(cli);
+  if (error.empty()) error = mode_conflict(cli);
   if (!error.empty()) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return false;
@@ -258,8 +279,8 @@ bool parse_args(int argc, char** argv, Cli& cli) {
 // By default every mechanism variant x {sps, hashtable, rbtree} x seeds
 // 1..crash.seeds is swept; explicit --mechanism / --workload / --seed narrow
 // the cell set (a mechanism filter keeps its negative-control sibling, e.g.
-// sp!unordered rides with sp). Exit 2 when any expected-consistent cell
-// violated atomicity.
+// sp!unordered rides with sp) and --ops / --setup size it. Exit 2 when any
+// expected-consistent cell violated atomicity.
 int run_crash_sweep_mode(const Cli& cli) {
   SystemConfig cfg = cli.cfg;
   if (cli.ops) cfg.crash.ops = cli.params.ops;
