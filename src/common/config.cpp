@@ -30,7 +30,6 @@ DeviceTiming DeviceTiming::sttram() {
 SystemConfig SystemConfig::paper() {
   SystemConfig c;
   c.cores = 4;
-  c.ghz = 2.0;
 
   c.core.issue_width = 4;
   c.core.rob_entries = 128;

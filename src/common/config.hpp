@@ -86,7 +86,6 @@ struct TxCacheConfig {
   std::uint64_t size_bytes = 4 << 10;  ///< 4 KB per core.
   unsigned latency_cycles = 1;         ///< 0.5 ns at 2 GHz.
   double overflow_threshold = 0.9;     ///< Fall-back path trips at 90 % full.
-  unsigned drain_per_cycle = 1;        ///< Committed lines issued to NVM per cycle.
 
   std::uint64_t entries() const { return size_bytes / kLineBytes; }
 };
@@ -126,7 +125,8 @@ struct MemCtrlConfig {
   unsigned ranks = 4;
   unsigned banks_per_rank = 8;
   /// Line-interleaved channels, each with its own controller, queues and
-  /// data bus (1 = the paper's configuration).
+  /// data bus (1 = the paper's configuration). Only the NVM side reads it:
+  /// DRAM is always one channel.
   unsigned channels = 1;
   unsigned bus_latency = 8;  ///< LLC<->controller and ack-message latency.
   /// Refresh: every `refresh_interval` cycles a rank spends
@@ -135,11 +135,6 @@ struct MemCtrlConfig {
   /// latency advantages the model keeps visible.
   Cycle refresh_interval = 0;
   Cycle refresh_cycles = 0;
-  /// tFAW: at most four row activations per rank within this window
-  /// (0 disables — the default, matching the published results).
-  Cycle tfaw = 0;
-  /// Write-to-read turnaround per rank (0 disables).
-  Cycle twtr = 0;
   DeviceTiming timing;
 };
 
@@ -232,7 +227,9 @@ struct TopoConfig {
 /// sim::Cluster instantiates one sim::Node per topo.nodes from this.
 struct NodeConfig {
   unsigned cores = 4;  ///< 1 to AddressSpace::kMaxCores.
-  double ghz = 2.0;
+  /// CPU clock. Every core, cache, NTC and memory latency above is a cycle
+  /// count at this clock; only the interconnect converts nanoseconds.
+  static constexpr double ghz = 2.0;
   AddressSpace address_space;
   CoreConfig core;
   CacheConfig l1;   ///< Private, 32 KB, 4-way, 0.5 ns.
@@ -247,6 +244,8 @@ struct NodeConfig {
 
   /// Record functional values and transaction journals so that crash
   /// recovery can be simulated and checked (costs some simulation speed).
+  /// No config key: run_cell sets it per mechanism, and a single ntcsim
+  /// cell keeps it on so that --crash-at can recover.
   bool track_recovery_state = true;
 
   /// Online persistence-order checker. Debug builds check fatally by

@@ -10,12 +10,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "core/microop.hpp"
 
 namespace ntcsim::core {
@@ -35,20 +32,7 @@ class Trace {
     return *this;
   }
 
-  void push(MicroOp op) {
-    NTC_ASSERT(op.kind == OpKind::kCompute ? op.count > 0 : op.count == 1,
-               "trace record with a bad uop count");
-    uops_ += op.count;
-    if (op.kind == OpKind::kCompute && !ops_.empty()) {
-      MicroOp& back = ops_.back();
-      if (back.kind == OpKind::kCompute &&
-          back.count <= std::numeric_limits<std::uint32_t>::max() - op.count) {
-        back.count += op.count;
-        return;
-      }
-    }
-    ops_.push_back(op);
-  }
+  void push(MicroOp op);
   /// push() of every record of `other`, in order.
   void append(const Trace& other) {
     for (const MicroOp& op : other.ops_) push(op);

@@ -16,8 +16,6 @@ MemoryController::MemoryController(std::string name, const MemCtrlConfig& cfg,
       stats_(&stats),
       map_(cfg.ranks, cfg.banks_per_rank, 8 << 10, cfg.channels) {
   banks_.assign(map_.total_banks(), Bank{cfg_.timing});
-  acts_.assign(cfg_.ranks, {});
-  last_write_end_.assign(cfg_.ranks, 0);
   stat_reads_ = CounterHandle(*stats_, name_ + ".reads");
   stat_writes_ = CounterHandle(*stats_, name_ + ".writes");
   for (unsigned s = 0; s < kSourceCount; ++s) {
@@ -95,21 +93,13 @@ MemoryController::Scan MemoryController::scan_(const std::deque<Pending>& q,
     const Pending& p = q[i];
     if (p.behind) continue;
     const Bank& bank = banks_[p.flat_bank];
-    const bool hit = bank.row_hit(p.coord.row);
-    Cycle ready = bank.busy_until();
-    // tFAW: a fifth activation within the window must wait.
-    if (cfg_.tfaw > 0 && !hit) {
-      ready = std::max(ready, acts_[p.coord.rank][0] + cfg_.tfaw);
-    }
-    // tWTR: a read cannot follow a write on the same rank too closely.
-    if (cfg_.twtr > 0 && p.req.op == MemOp::kRead) {
-      ready = std::max(ready, last_write_end_[p.coord.rank] + cfg_.twtr);
-    }
-    if (ready > now) {
+    if (const Cycle ready = bank.busy_until(); ready > now) {
       s.ready = std::min(s.ready, ready);
       continue;
     }
-    if (hit) return {static_cast<int>(i), now};  // FR: row hit first.
+    if (bank.row_hit(p.coord.row)) {
+      return {static_cast<int>(i), now};  // FR: row hit first.
+    }
     if (s.pick < 0) s.pick = static_cast<int>(i);
   }
   if (s.pick >= 0) s.ready = now;  // FCFS among bank-ready row misses.
@@ -243,15 +233,8 @@ void MemoryController::issue_(std::deque<Pending>& q, int i, Cycle now) {
     stat_row_hits_->inc();
   } else {
     stat_row_misses_->inc();
-    // Record the activation for the tFAW window (sorted ascending).
-    auto& a = acts_[c.rank];
-    a[0] = now;
-    std::sort(a.begin(), a.end());
   }
   Cycle done = bank.access(now, c.row, is_write);
-  if (is_write) {
-    last_write_end_[c.rank] = std::max(last_write_end_[c.rank], done);
-  }
 
   // Serialize the shared data bus: each transfer occupies `burst` cycles.
   Cycle xfer_start = std::max(done, bus_busy_until_);

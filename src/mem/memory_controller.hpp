@@ -9,7 +9,6 @@
 // address) back toward the transaction cache.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <string>
@@ -72,7 +71,7 @@ class MemoryController {
 
   /// Earliest cycle > now at which tick() could do work (quiescence
   /// contract): the earliest schedulable queue entry under the frozen
-  /// bank/rank timing state, or the earliest rank refresh with its banks
+  /// bank timing state, or the earliest rank refresh with its banks
   /// idle. kNeverCycle when the queues are empty and refresh is disabled
   /// (in-flight completions are event-driven). Reads the per-queue cycles
   /// the scheduler cached; scans a queue only when a state change has
@@ -109,13 +108,13 @@ class MemoryController {
     /// bank-ready miss), or -1 when none is issuable.
     int pick = -1;
     /// Earliest cycle at which some entry could issue under the current
-    /// bank/rank state: `now` when pick >= 0, kNeverCycle for a queue
+    /// bank state: `now` when pick >= 0, kNeverCycle for a queue
     /// with nothing schedulable.
     Cycle ready = kNeverCycle;
   };
   /// An entry is not schedulable while an older same-line entry is still
   /// queued (program-order writes, §3); otherwise it is issuable once its
-  /// bank is free and its rank's tFAW/tWTR windows have cleared.
+  /// bank is free.
   Scan scan_(const std::deque<Pending>& q, Cycle now) const;
   /// Appends `req` to `q`, decoded and flagged `behind` any older
   /// same-line entry.
@@ -135,7 +134,7 @@ class MemoryController {
   void verify_idle_tick_(Cycle now);
   /// The next tick enters or leaves write-drain mode.
   bool drain_flip_due_() const;
-  /// Forget both cached cycles: the bank/rank state changed.
+  /// Forget both cached cycles: the bank state changed.
   void clear_schedule_() {
     reads_blocked_until_ = writes_blocked_until_ = kUnscanned;
   }
@@ -149,7 +148,7 @@ class MemoryController {
   std::deque<Pending> read_q_;
   std::deque<Pending> write_q_;
   /// Cached schedule, per queue: no entry of that queue can issue before
-  /// this cycle under the current bank/rank state. A push clears its
+  /// this cycle under the current bank state. A push clears its
   /// queue's cycle; an issue or a fired refresh clears both. kUnscanned
   /// (never a computed value: a scan at `now` that finds nothing reports a
   /// cycle > now) means "scan before trusting".
@@ -159,9 +158,6 @@ class MemoryController {
   LineMap<std::uint32_t> wear_;  ///< line -> array writes.
   Cycle bus_busy_until_ = 0;
   std::vector<Cycle> next_refresh_;  ///< Per rank; empty when disabled.
-  /// tFAW sliding window: the last four activate times per rank.
-  std::vector<std::array<Cycle, 4>> acts_;
-  std::vector<Cycle> last_write_end_;  ///< Per rank, for tWTR.
   bool draining_ = false;
   unsigned in_flight_ = 0;
   /// Requests whose completion event is pending, by slot; free_slots_

@@ -104,14 +104,15 @@ Key flag(At at) {
 const std::map<std::string, Key>& registry() {
   static const std::map<std::string, Key> keys = [] {
     std::map<std::string, Key> k;
-    // Lower bounds keep every single-field value the model can run: a
-    // size, way, MSHR, queue, rank, bank, channel, width or drain-rate of 0
-    // divides by zero, trips an invariant or never drains. Fractions stay
-    // in [0, 1]; the other double knobs are capped so the cycle counts
-    // derived from them stay in range.
+    // Every key has a caller outside the tests: a preset, a config file, a
+    // bench, an example, a CI step or a documented command sets it (the
+    // knob audit in ROADMAP.md). Lower bounds keep every single-field value
+    // the model can run: a size, way, MSHR, queue, rank, bank or channel
+    // count of 0 divides by zero, trips an invariant or never drains.
+    // Fractions stay in [0, 1]; the other double knobs are capped so the
+    // cycle counts derived from them stay in range.
     k["cores"] =
         number(field(&SystemConfig::cores), {1, AddressSpace::kMaxCores});
-    k["ghz"] = number(field(&SystemConfig::ghz), {0.0, 1000.0, true});
     k["mechanism"] = Key{
         [](SystemConfig& c, const std::string& v) {
           return parse_mechanism(v, c.mechanism);
@@ -124,7 +125,6 @@ const std::map<std::string, Key>& registry() {
           return "known mechanisms: " +
                  persist::DomainRegistry::instance().known_names();
         }};
-    k["track_recovery"] = flag(field(&SystemConfig::track_recovery_state));
     k["check"] = Key{
         [](SystemConfig& c, const std::string& v) {
           return parse_check_mode(v, c.check);
@@ -151,30 +151,30 @@ const std::map<std::string, Key>& registry() {
       k[prefix + ".ways"] = number(field(level, &CacheConfig::ways), {1});
       k[prefix + ".latency"] =
           number(field(level, &CacheConfig::latency_cycles), {});
-      k[prefix + ".mshrs"] = number(field(level, &CacheConfig::mshrs), {1});
-      k[prefix + ".replacement"] = Key{
-          [level](SystemConfig& c, const std::string& v) {
-            if (v == "lru") {
-              (c.*level).replacement = ReplacementPolicy::kLru;
-            } else if (v == "random") {
-              (c.*level).replacement = ReplacementPolicy::kRandom;
-            } else if (v == "srrip") {
-              (c.*level).replacement = ReplacementPolicy::kSrrip;
-            } else {
-              return false;
-            }
-            return true;
-          },
-          [level](const SystemConfig& c) {
-            return std::string(to_string((c.*level).replacement));
-          }};
     };
     cache_keys("l1", &SystemConfig::l1);
     cache_keys("l2", &SystemConfig::l2);
     cache_keys("llc", &SystemConfig::llc);
+    // The hierarchy checks only the L1 and LLC miss registers, and only the
+    // LLC's victim policy is swept (bench_ablation_replacement).
+    k["l1.mshrs"] = number(field(&SystemConfig::l1, &CacheConfig::mshrs), {1});
+    k["llc.mshrs"] =
+        number(field(&SystemConfig::llc, &CacheConfig::mshrs), {1});
+    k["llc.replacement"] = Key{
+        [](SystemConfig& c, const std::string& v) {
+          for (ReplacementPolicy p : {ReplacementPolicy::kLru,
+                                      ReplacementPolicy::kRandom,
+                                      ReplacementPolicy::kSrrip}) {
+            if (v != to_string(p)) continue;
+            c.llc.replacement = p;
+            return true;
+          }
+          return false;
+        },
+        [](const SystemConfig& c) {
+          return std::string(to_string(c.llc.replacement));
+        }};
 
-    k["core.issue_width"] =
-        number(field(&SystemConfig::core, &CoreConfig::issue_width), {1});
     // The ROB and store buffer are rings allocated whole at construction.
     k["core.rob"] = number(
         field(&SystemConfig::core, &CoreConfig::rob_entries), {1, 65536});
@@ -191,8 +191,6 @@ const std::map<std::string, Key>& registry() {
     k["ntc.threshold"] = number(
         field(&SystemConfig::ntc, &TxCacheConfig::overflow_threshold),
         {0.0, 1.0});
-    k["ntc.drain_per_cycle"] = number(
-        field(&SystemConfig::ntc, &TxCacheConfig::drain_per_cycle), {1});
 
     k["serve.enabled"] =
         flag(field(&SystemConfig::service, &ServiceConfig::enabled));
@@ -224,26 +222,26 @@ const std::map<std::string, Key>& registry() {
           number(field(mc, &MemCtrlConfig::read_queue), {1});
       k[prefix + ".write_queue"] =
           number(field(mc, &MemCtrlConfig::write_queue), {1});
-      k[prefix + ".drain_high"] =
-          number(field(mc, &MemCtrlConfig::drain_high_watermark), {0.0, 1.0});
-      k[prefix + ".drain_low"] =
-          number(field(mc, &MemCtrlConfig::drain_low_watermark), {0.0, 1.0});
       k[prefix + ".ranks"] = number(field(mc, &MemCtrlConfig::ranks), {1});
       k[prefix + ".banks"] =
           number(field(mc, &MemCtrlConfig::banks_per_rank), {1});
-      k[prefix + ".channels"] =
-          number(field(mc, &MemCtrlConfig::channels), {1});
-      k[prefix + ".bus_latency"] =
-          number(field(mc, &MemCtrlConfig::bus_latency), {});
-      k[prefix + ".refresh_interval"] =
-          number(field(mc, &MemCtrlConfig::refresh_interval), {});
-      k[prefix + ".refresh_cycles"] =
-          number(field(mc, &MemCtrlConfig::refresh_cycles), {});
-      k[prefix + ".tfaw"] = number(field(mc, &MemCtrlConfig::tfaw), {});
-      k[prefix + ".twtr"] = number(field(mc, &MemCtrlConfig::twtr), {});
     };
     mc_keys("nvm", &SystemConfig::nvm);
     mc_keys("dram", &SystemConfig::dram);
+    // DRAM is one channel and refreshes; STT-RAM may be striped over
+    // channels and never refreshes. Only the NVM write drain is swept.
+    k["nvm.channels"] =
+        number(field(&SystemConfig::nvm, &MemCtrlConfig::channels), {1});
+    k["nvm.drain_high"] = number(
+        field(&SystemConfig::nvm, &MemCtrlConfig::drain_high_watermark),
+        {0.0, 1.0});
+    k["nvm.drain_low"] = number(
+        field(&SystemConfig::nvm, &MemCtrlConfig::drain_low_watermark),
+        {0.0, 1.0});
+    k["dram.refresh_interval"] = number(
+        field(&SystemConfig::dram, &MemCtrlConfig::refresh_interval), {});
+    k["dram.refresh_cycles"] = number(
+        field(&SystemConfig::dram, &MemCtrlConfig::refresh_cycles), {});
     return k;
   }();
   return keys;

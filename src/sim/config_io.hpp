@@ -7,7 +7,6 @@
 //   mechanism      = tc            # any registered domain; see
 //                                  # `ntcsim --list-mechanisms`
 //   cores          = 4
-//   ghz            = 2.0
 //   l1.size_kb     = 32
 //   l1.ways        = 4
 //   l1.latency     = 1             # CPU cycles

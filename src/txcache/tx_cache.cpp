@@ -318,55 +318,13 @@ bool TxCache::issue_spill_home_(Cycle now, const std::shared_ptr<Spill>& spill) 
 }
 
 void TxCache::tick(Cycle now) {
-  // Issue committed writes toward the NVM strictly in program (sequence)
-  // order, merging the ring with the overflow spill table. Committed items
-  // always carry lower sequence numbers than ACTIVE ones (transactions are
-  // sequential per core), so lowest-seq-first IS the paper's FIFO order.
-  // Both candidate sets are seq-sorted deques, so each pick is O(1): the
-  // oldest committed-unissued ring entry is committed_fifo_.front() and the
-  // oldest unissued spill is spills_[spill_home_issued_live_] (home writes
-  // issue in seq order, so the issued ones form a prefix of the deque).
   if (drain_order_mutant_ && committed_fifo_.size() > 1) {
     // Test seam: invert the drain order of the two oldest committed
     // entries so the checker's fifo-drain rule has something to catch.
     std::swap(committed_fifo_.front(), committed_fifo_.back());
   }
-  unsigned issued = 0;
-  while (issued < cfg_.drain_per_cycle &&
-         (!committed_fifo_.empty() || committed_spills_ > 0)) {
-    // FIFO boundary: nothing may be issued past the oldest ACTIVE entry
-    // (§4.1 — committed lines are written back in FIFO = program order).
-    const std::uint64_t min_active_seq =
-        active_fifo_.empty() ? ~0ULL : entries_[active_fifo_.front()].seq;
-    std::uint64_t best_seq = ~0ULL;
-    bool best_is_entry = false;
-    if (!committed_fifo_.empty()) {
-      best_seq = entries_[committed_fifo_.front()].seq;
-      best_is_entry = true;
-    }
-    std::shared_ptr<Spill> best_spill;
-    if (spill_home_issued_live_ < spills_.size()) {
-      const std::shared_ptr<Spill>& s = spills_[spill_home_issued_live_];
-      if (s->committed && !s->home_issued && s->seq < best_seq) {
-        best_seq = s->seq;
-        best_is_entry = false;
-        best_spill = s;
-      }
-    }
-    if (best_seq == ~0ULL) break;          // nothing committed to drain
-    if (best_seq > min_active_seq) break;  // would pass an active entry
-    if (best_is_entry) {
-      if (!issue_entry_(now, committed_fifo_.front())) break;
-      committed_fifo_.pop_front();
-    } else {
-      // The copy-on-write shadow write must be durable before the home
-      // write may pass it in the pipeline.
-      if (!best_spill->shadow_done) break;
-      if (!issue_spill_home_(now, best_spill)) break;
-      --committed_spills_;
-      ++spill_home_issued_live_;
-    }
-    ++issued;
+  if (!committed_fifo_.empty() || committed_spills_ > 0) {
+    issue_oldest_committed_(now);
   }
 
   if (overflow_imminent()) run_overflow_fallback_(now);
@@ -381,8 +339,45 @@ void TxCache::tick(Cycle now) {
   }
 }
 
+void TxCache::issue_oldest_committed_(Cycle now) {
+  // Issue committed writes toward the NVM strictly in program (sequence)
+  // order, merging the ring with the overflow spill table. Committed items
+  // always carry lower sequence numbers than ACTIVE ones (transactions are
+  // sequential per core), so lowest-seq-first IS the paper's FIFO order.
+  // Both candidate sets are seq-sorted deques, so each pick is O(1): the
+  // oldest committed-unissued ring entry is committed_fifo_.front() and the
+  // oldest unissued spill is spills_[spill_home_issued_live_] (home writes
+  // issue in seq order, so the issued ones form a prefix of the deque).
+  //
+  // FIFO boundary: nothing may be issued past the oldest ACTIVE entry
+  // (§4.1 — committed lines are written back in FIFO = program order).
+  const std::uint64_t min_active_seq =
+      active_fifo_.empty() ? ~0ULL : entries_[active_fifo_.front()].seq;
+  std::uint64_t best_seq =
+      committed_fifo_.empty() ? ~0ULL : entries_[committed_fifo_.front()].seq;
+  std::shared_ptr<Spill> best_spill;  // null: the ring entry is oldest
+  if (spill_home_issued_live_ < spills_.size()) {
+    const std::shared_ptr<Spill>& s = spills_[spill_home_issued_live_];
+    if (s->committed && !s->home_issued && s->seq < best_seq) {
+      best_seq = s->seq;
+      best_spill = s;
+    }
+  }
+  if (best_seq == ~0ULL) return;          // nothing committed to drain
+  if (best_seq > min_active_seq) return;  // would pass an active entry
+  if (best_spill == nullptr) {
+    if (issue_entry_(now, committed_fifo_.front())) committed_fifo_.pop_front();
+    return;
+  }
+  // The copy-on-write shadow write must be durable before the home write
+  // may pass it in the pipeline.
+  if (!best_spill->shadow_done || !issue_spill_home_(now, best_spill)) return;
+  --committed_spills_;
+  ++spill_home_issued_live_;
+}
+
 Cycle TxCache::next_event_cycle(Cycle now) const {
-  // Committed work still to drain: the issue loop runs (or retries a full
+  // Committed work still to drain: tick() issues a line (or retries a full
   // write queue / a shadow write still in flight) every cycle.
   if (!committed_fifo_.empty() || committed_spills_ > 0) return now + 1;
   // Overflow fall-back with spillable victims: tick() spills one per cycle.

@@ -59,8 +59,9 @@ class TxCache {
   /// Acknowledgment message from the NVM controller.
   void on_ack(Addr line_addr);
 
-  /// Issue committed entries toward the NVM in FIFO order; run the
-  /// overflow fall-back when nearly full. Call once per cycle.
+  /// Issue the oldest committed entry toward the NVM (at most one line per
+  /// cycle, in FIFO order); run the overflow fall-back when nearly full.
+  /// Call once per cycle.
   void tick(Cycle now);
 
   /// Earliest cycle > now at which tick() could do work, assuming no
@@ -117,6 +118,9 @@ class TxCache {
 
   std::size_t next_(std::size_t i) const { return (i + 1) % entries_.size(); }
   void advance_tail_();
+  /// Issues the oldest committed ring entry or spill home write, unless
+  /// it would pass an ACTIVE entry or the NVM write queue is full.
+  void issue_oldest_committed_(Cycle now);
   bool issue_entry_(Cycle now, std::size_t idx);
   bool issue_spill_home_(Cycle now, const std::shared_ptr<Spill>& spill);
   void run_overflow_fallback_(Cycle now);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace ntcsim::sim {
@@ -128,21 +130,45 @@ TEST(ConfigIo, ParseWorkload) {
   EXPECT_EQ(wl, WorkloadKind::kRbtree);  // unchanged on failure
 }
 
-TEST(ConfigIo, TrackRecoveryFlag) {
-  SystemConfig cfg = SystemConfig::paper();
-  ASSERT_TRUE(apply_config_line("track_recovery = 0", cfg).ok);
-  EXPECT_FALSE(cfg.track_recovery_state);
-  ASSERT_TRUE(apply_config_line("track_recovery = 1", cfg).ok);
-  EXPECT_TRUE(cfg.track_recovery_state);
-  EXPECT_FALSE(apply_config_line("track_recovery = yes", cfg).ok);
-}
-
 TEST(ConfigIo, RefreshKeys) {
   SystemConfig cfg = SystemConfig::paper();
   ASSERT_TRUE(apply_config_line("dram.refresh_interval = 7800", cfg).ok);
   ASSERT_TRUE(apply_config_line("dram.refresh_cycles = 260", cfg).ok);
   EXPECT_EQ(cfg.dram.refresh_interval, 7800u);
   EXPECT_EQ(cfg.dram.refresh_cycles, 260u);
+}
+
+TEST(ConfigIo, ShippedConfigFilesApplyToEveryPreset) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NTC_CONFIG_DIR)) {
+    if (entry.path().extension() != ".cfg") continue;
+    ++files;
+    for (SystemConfig cfg : {SystemConfig::paper(),
+                             SystemConfig::experiment(),
+                             SystemConfig::tiny()}) {
+      std::ifstream f(entry.path());
+      const ConfigParseResult r = apply_config(f, cfg);
+      EXPECT_TRUE(r.ok) << entry.path() << ": " << r.error;
+      EXPECT_EQ(check_geometry(cfg), "") << entry.path();
+    }
+  }
+  EXPECT_GT(files, 0u);
+}
+
+TEST(ConfigIo, PaperFileRestatesThePaperPreset) {
+  // `--preset=paper --config=configs/paper.cfg` dumps exactly what
+  // `--preset=paper` dumps.
+  const SystemConfig preset = SystemConfig::paper();
+  SystemConfig overlaid = preset;
+  std::ifstream f(std::filesystem::path(NTC_CONFIG_DIR) / "paper.cfg");
+  ASSERT_TRUE(f);
+  const ConfigParseResult r = apply_config(f, overlaid);
+  ASSERT_TRUE(r.ok) << r.error;
+  std::ostringstream want, got;
+  write_config(want, preset);
+  write_config(got, overlaid);
+  EXPECT_EQ(got.str(), want.str());
 }
 
 }  // namespace

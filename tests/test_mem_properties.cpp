@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -137,9 +136,9 @@ INSTANTIATE_TEST_SUITE_P(
 // every issue (cycle, op, row outcome, and through the completion cycle,
 // which request) and on every next_event_cycle() answer.
 
-/// Plain FR-FCFS with same-line ordering, read-first with write drain,
-/// tFAW/tWTR and staggered per-rank refresh: the controller's documented
-/// policy, rescanned in full every cycle.
+/// Plain FR-FCFS with same-line ordering, read-first with write drain and
+/// staggered per-rank refresh: the controller's documented policy,
+/// rescanned in full every cycle.
 class ReferenceScheduler {
  public:
   struct Issued {
@@ -152,8 +151,6 @@ class ReferenceScheduler {
   explicit ReferenceScheduler(const MemCtrlConfig& cfg)
       : cfg_(cfg), map_(cfg.ranks, cfg.banks_per_rank, 8 << 10, cfg.channels) {
     banks_.assign(map_.total_banks(), Bank{cfg_.timing});
-    acts_.assign(cfg_.ranks, {});
-    last_write_end_.assign(cfg_.ranks, 0);
     if (cfg_.refresh_interval > 0) {
       for (unsigned r = 0; r < cfg_.ranks; ++r) {
         next_refresh_.push_back(cfg_.refresh_interval * (r + 1) / cfg_.ranks);
@@ -233,11 +230,8 @@ class ReferenceScheduler {
   unsigned refreshes = 0;
   unsigned drain_entries = 0;
   unsigned drain_exits = 0;
-  /// Times pick() passed over an entry behind an older same-line one, or
-  /// over a bank-ready entry held by tFAW or tWTR.
+  /// Times pick() passed over an entry behind an older same-line one.
   unsigned conflict_holds = 0;
-  unsigned faw_holds = 0;
-  unsigned wtr_holds = 0;
 
  private:
   struct Entry {
@@ -265,16 +259,7 @@ class ReferenceScheduler {
     return true;
   }
   Cycle ready_at(const Entry& e) const {
-    const BankCoord c = map_.decode(e.line);
-    const Bank& b = banks_[map_.flat_bank(c)];
-    Cycle t = b.busy_until();
-    if (cfg_.tfaw > 0 && !b.row_hit(c.row)) {
-      t = std::max(t, acts_[c.rank][0] + cfg_.tfaw);
-    }
-    if (cfg_.twtr > 0 && e.op == MemOp::kRead) {
-      t = std::max(t, last_write_end_[c.rank] + cfg_.twtr);
-    }
-    return t;
+    return banks_[map_.flat_bank(map_.decode(e.line))].busy_until();
   }
   /// First ready row hit, else the oldest ready entry, else -1.
   int pick(const std::deque<Entry>& q, Cycle now) {
@@ -286,15 +271,7 @@ class ReferenceScheduler {
         ++conflict_holds;
         continue;
       }
-      if (b.ready_at(now) && ready_at(q[i]) > now) {
-        if (cfg_.tfaw > 0 && !b.row_hit(c.row) &&
-            acts_[c.rank][0] + cfg_.tfaw > now) {
-          ++faw_holds;
-        } else {
-          ++wtr_holds;
-        }
-      }
-      if (ready_at(q[i]) > now) continue;
+      if (!b.ready_at(now)) continue;
       if (b.row_hit(c.row)) return static_cast<int>(i);
       if (oldest < 0) oldest = static_cast<int>(i);
     }
@@ -306,15 +283,7 @@ class ReferenceScheduler {
     const BankCoord c = map_.decode(e.line);
     Bank& b = banks_[map_.flat_bank(c)];
     Issued out{e.id, e.op, b.row_hit(c.row), 0};
-    if (!out.row_hit) {
-      std::array<Cycle, 4>& a = acts_[c.rank];
-      a[0] = now;
-      std::sort(a.begin(), a.end());
-    }
     const Cycle done = b.access(now, c.row, e.op == MemOp::kWrite);
-    if (e.op == MemOp::kWrite) {
-      last_write_end_[c.rank] = std::max(last_write_end_[c.rank], done);
-    }
     bus_busy_until_ = std::max(done, bus_busy_until_) + cfg_.timing.burst;
     out.fires = bus_busy_until_ + cfg_.bus_latency;
     return out;
@@ -325,8 +294,6 @@ class ReferenceScheduler {
   std::vector<Bank> banks_;
   std::deque<Entry> reads_;
   std::deque<Entry> writes_;
-  std::vector<std::array<Cycle, 4>> acts_;
-  std::vector<Cycle> last_write_end_;
   std::vector<Cycle> next_refresh_;
   Cycle bus_busy_until_ = 0;
   bool draining_ = false;
@@ -339,8 +306,8 @@ struct DiffCase {
   unsigned read_q;
   unsigned write_q;
   unsigned line_space;  ///< Small => many same-line conflicts.
-  Cycle tfaw;
-  Cycle twtr;
+  double drain_high;  ///< Write-drain watermarks (nvm.drain_high/low).
+  double drain_low;
   Cycle refresh_interval;  ///< 0 = refresh off.
   bool skip;  ///< Jump idle windows the way the cluster's clock does.
 };
@@ -354,8 +321,8 @@ TEST_P(SchedulerDiffTest, CachedScanMatchesFullScanReference) {
   cfg.banks_per_rank = dc.banks;
   cfg.read_queue = dc.read_q;
   cfg.write_queue = dc.write_q;
-  cfg.tfaw = dc.tfaw;
-  cfg.twtr = dc.twtr;
+  cfg.drain_high_watermark = dc.drain_high;
+  cfg.drain_low_watermark = dc.drain_low;
   cfg.refresh_interval = dc.refresh_interval;
   cfg.refresh_cycles = dc.refresh_interval / 20;
   cfg.timing = DeviceTiming::sttram();
@@ -493,12 +460,6 @@ TEST_P(SchedulerDiffTest, CachedScanMatchesFullScanReference) {
   EXPECT_GT(ref.conflict_holds, 0u);
   EXPECT_GT(ref.drain_entries, 0u);
   EXPECT_GT(ref.drain_exits, 0u);
-  if (dc.tfaw > 0) {
-    EXPECT_GT(ref.faw_holds, 0u);
-  }
-  if (dc.twtr > 0) {
-    EXPECT_GT(ref.wtr_holds, 0u);
-  }
   if (dc.refresh_interval > 0) {
     EXPECT_GT(ref.refreshes, 0u);
   }
@@ -510,11 +471,11 @@ TEST_P(SchedulerDiffTest, CachedScanMatchesFullScanReference) {
 INSTANTIATE_TEST_SUITE_P(
     Streams, SchedulerDiffTest,
     ::testing::Values(
-        DiffCase{11, 2, 4, 8, 16, 32, 150, 24, 1500, true},
-        DiffCase{12, 1, 2, 4, 8, 8, 0, 0, 0, true},
-        DiffCase{13, 4, 8, 8, 64, 512, 90, 12, 3000, false},
-        DiffCase{14, 2, 8, 8, 64, 4, 120, 16, 1000, true},
-        DiffCase{15, 1, 4, 2, 4, 16, 400, 40, 800, false}),
+        DiffCase{11, 2, 4, 8, 16, 32, 0.8, 0.25, 1500, true},
+        DiffCase{12, 1, 2, 4, 8, 8, 0.75, 0.25, 0, true},
+        DiffCase{13, 4, 8, 8, 64, 512, 0.9, 0.3, 3000, false},
+        DiffCase{14, 2, 8, 8, 64, 4, 0.5, 0.125, 1000, true},
+        DiffCase{15, 1, 4, 2, 4, 16, 1.0, 0.0, 800, false}),
     [](const ::testing::TestParamInfo<DiffCase>& p) {
       return "seed" + std::to_string(p.param.seed);
     });
@@ -534,8 +495,8 @@ struct SleepCase {
   unsigned read_q;
   unsigned write_q;
   unsigned line_space;  ///< Small => same-line conflicts and forwards.
-  Cycle tfaw;
-  Cycle twtr;
+  double drain_high;  ///< Write-drain watermarks.
+  double drain_low;
   Cycle refresh_interval;
 };
 
@@ -549,8 +510,8 @@ TEST_P(SleepDiffTest, SleepingControllerMatchesEveryCycleTicks) {
   cfg.banks_per_rank = 4;
   cfg.read_queue = sc.read_q;
   cfg.write_queue = sc.write_q;
-  cfg.tfaw = sc.tfaw;
-  cfg.twtr = sc.twtr;
+  cfg.drain_high_watermark = sc.drain_high;
+  cfg.drain_low_watermark = sc.drain_low;
   cfg.refresh_interval = sc.refresh_interval;
   cfg.refresh_cycles = sc.refresh_interval / 20;
   cfg.timing = dram ? DeviceTiming::ddr3() : DeviceTiming::sttram();
@@ -665,10 +626,10 @@ TEST_P(SleepDiffTest, SleepingControllerMatchesEveryCycleTicks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Streams, SleepDiffTest,
-    ::testing::Values(SleepCase{21, "nvm", 8, 16, 32, 150, 24, 1500},
-                      SleepCase{22, "dram", 4, 8, 8, 90, 12, 800},
-                      SleepCase{23, "nvm", 8, 64, 64, 120, 16, 3000},
-                      SleepCase{24, "dram", 2, 4, 16, 400, 40, 1000}),
+    ::testing::Values(SleepCase{21, "nvm", 8, 16, 32, 0.8, 0.25, 1500},
+                      SleepCase{22, "dram", 4, 8, 8, 0.5, 0.25, 800},
+                      SleepCase{23, "nvm", 8, 64, 64, 0.9, 0.3, 3000},
+                      SleepCase{24, "dram", 2, 4, 16, 1.0, 0.0, 1000}),
     [](const ::testing::TestParamInfo<SleepCase>& p) {
       return std::string(p.param.name) + "_seed" +
              std::to_string(p.param.seed);

@@ -252,19 +252,20 @@ TEST_F(TxCacheTest, InterleavedCommitOnlyDrainsCommittedTx) {
 }
 
 TEST_F(TxCacheTest, DrainRespectsDrainPerCycleBudget) {
-  cfg_.ntc.drain_per_cycle = 2;
-  ntc_ = std::make_unique<TxCache>("ntcY", 0, cfg_.ntc, cfg_.address_space,
-                                   *mem_, stats_);
+  // The budget is one committed line per cycle: six committed lines, all of
+  // which fit the NVM write queue, take six ticks to issue.
   for (unsigned i = 0; i < 6; ++i) {
     ASSERT_TRUE(ntc_->write(now_, nvm_ + i * 64, i, 1));
   }
   ntc_->commit(1);
-  // One tick may issue at most two entries.
-  events_.drain_until(now_);
-  ntc_->tick(now_);
-  EXPECT_EQ(stats_.counter_value("ntcY.issued"), 2u);
+  for (std::uint64_t tick = 1; tick <= 6; ++tick) {
+    events_.drain_until(now_);
+    ntc_->tick(now_++);
+    EXPECT_EQ(stats_.counter_value("ntc0.issued"), tick);
+  }
   run(3000);
-  EXPECT_EQ(stats_.counter_value("ntcY.issued"), 6u);
+  EXPECT_EQ(stats_.counter_value("ntc0.issued"), 6u);
+  EXPECT_TRUE(ntc_->drained());
 }
 
 TEST_F(TxCacheTest, OccupancyNeverExceedsCapacity) {

@@ -118,7 +118,8 @@ def tiny_args(args):
     preset, small scale, capped request/op counts. Appended flags win
     because the CLI parses left to right (and --preset is order-free).
     --matrix runs every cell at its default size and rejects --setup, so
-    only a single-cell or crash-sweep command gets a small setup."""
+    only a single-cell or crash-sweep command gets a small setup; a single
+    cell rejects --scale and --jobs, so only a batch command gets those."""
     out = []
     for a in args:
         if a.startswith("--requests="):
@@ -130,7 +131,11 @@ def tiny_args(args):
         elif a.startswith("--config="):
             return None  # needs a user-supplied file; nothing to smoke
         out.append(a)
-    out += ["--preset=tiny", "--scale=0.01", "--jobs=2"]
+    out.append("--preset=tiny")
+    crash_sweep = any(a == "--crash-sweep" or a.startswith("--crash-points=")
+                      for a in args)
+    if "--matrix" in args or crash_sweep:
+        out += ["--scale=0.01", "--jobs=2"]
     if "--matrix" not in args:
         out.append("--setup=200")
     return out

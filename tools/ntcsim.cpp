@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,8 +41,7 @@ void usage() { std::fputs(sim::kCliHelp, stdout); }
 
 struct Cli {
   // The cell flags, set only when given; `params` and cfg.mechanism hold
-  // the effective values. mode_conflict says which ones --matrix and
-  // --crash-sweep read.
+  // the effective values.
   std::optional<WorkloadKind> workload;
   std::optional<Mechanism> mechanism;
   std::optional<std::uint64_t> ops, setup, seed;
@@ -58,6 +58,9 @@ struct Cli {
   bool csv = false;
   bool stats = false;
   bool dump_config = false;
+  /// Every flag given, without its value; mode_conflict says which ones
+  /// each run mode reads.
+  std::set<std::string> given;
 };
 
 /// Flags that restate config keys. Each applies its `key=value` lines
@@ -104,50 +107,56 @@ bool apply_alias(const std::string& a, Cli& cli, std::string& error) {
   return false;
 }
 
-/// "" unless a batch run mode (--matrix, --crash-sweep) was given a cell
-/// flag it does not read, or both modes were given: either would be
-/// silently ignored. A single cell reads every cell flag; the table says
-/// which ones each batch mode reads. The matrix runs every workload x
-/// mechanism cell at the default sizes; the crash sweep narrows and sizes
-/// its cells by them but picks its own crash points and writes its own
-/// report.
+/// "" unless a run mode was given a flag it does not read, or both batch
+/// modes (--matrix, --crash-sweep) were given: either would be silently
+/// ignored. The table says which flags each mode reads. A single cell reads
+/// every cell flag and no batch flag: it runs on the calling thread, at the
+/// size its own flags give, and writes no campaign report. The matrix runs
+/// every workload x mechanism cell at the default sizes; the crash sweep
+/// narrows and sizes its cells by the cell flags but picks its own crash
+/// points and writes its own report.
 std::string mode_conflict(const Cli& cli) {
-  if (!cli.matrix && !cli.crash_sweep) return "";
   if (cli.matrix && cli.crash_sweep) {
     return "--matrix and --crash-sweep (or --crash-points) are separate run "
            "modes; give one";
   }
-  struct CellFlag {
+  struct ModeFlag {
     const char* flag;
-    bool given;
+    bool cell;         ///< a single cell reads it
     bool matrix;       ///< --matrix reads it
     bool crash_sweep;  ///< --crash-sweep reads it
   };
-  const CellFlag flags[] = {
-      {"--workload", cli.workload.has_value(), false, true},
-      {"--mechanism", cli.mechanism.has_value(), false, true},
-      {"--seed", cli.seed.has_value(), true, true},
-      {"--ops", cli.ops.has_value(), false, true},
-      {"--setup", cli.setup.has_value(), false, true},
-      {"--lookup", cli.lookup.has_value(), false, false},
-      {"--crash-at", cli.crash_at.has_value(), false, false},
-      {"--stats", cli.stats, false, false},
-      {"--csv", cli.csv, true, false},
+  const ModeFlag flags[] = {
+      {"--workload", true, false, true},
+      {"--mechanism", true, false, true},
+      {"--seed", true, true, true},
+      {"--ops", true, false, true},
+      {"--setup", true, false, true},
+      {"--lookup", true, false, false},
+      {"--crash-at", true, false, false},
+      {"--stats", true, false, false},
+      {"--csv", true, true, false},
+      {"--scale", false, true, true},
+      {"--jobs", false, true, true},
+      {"--minimize", false, false, true},
+      {"--crash-report", false, false, true},
   };
-  const auto reads = [&cli](const CellFlag& f) {
-    return cli.matrix ? f.matrix : f.crash_sweep;
+  const char* const mode = cli.matrix        ? "--matrix"
+                           : cli.crash_sweep ? "--crash-sweep"
+                                             : "a single cell";
+  const auto reads = [&cli](const ModeFlag& f) {
+    return cli.matrix ? f.matrix : cli.crash_sweep ? f.crash_sweep : f.cell;
   };
-  for (const CellFlag& given : flags) {
-    if (!given.given || reads(given)) continue;
+  for (const ModeFlag& given : flags) {
+    if (cli.given.count(given.flag) == 0 || reads(given)) continue;
     std::string read;
-    for (const CellFlag& f : flags) {
+    for (const ModeFlag& f : flags) {
       if (!reads(f)) continue;
       read += read.empty() ? "" : ", ";
       read += f.flag;
     }
-    return std::string(cli.matrix ? "--matrix" : "--crash-sweep") +
-           " does not read " + given.flag + ": of the cell flags it reads " +
-           read;
+    return std::string(mode) + " does not read " + given.flag +
+           ": of the run-mode flags it reads " + read;
   }
   return "";
 }
@@ -174,6 +183,7 @@ bool parse_args(int argc, char** argv, Cli& cli) {
   std::string error;
   for (int i = 1; i < argc && error.empty(); ++i) {
     const std::string a = argv[i];
+    cli.given.insert(a.substr(0, a.find('=')));
     auto value = [&a]() { return a.substr(a.find('=') + 1); };
     // `--flag=N` through parse_number; the error names the flag.
     auto number = [&](const auto& bounds, auto& out) {
